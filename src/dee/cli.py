@@ -41,6 +41,7 @@ from dee.circuits import read_circuit_file
 from dee.verify import run_bound_checks
 
 EXACT_ORACLE_MAX_DIM = 128
+WORKERS_HELP = "accepted and validated; sampling runs on one thread, output is invariant"
 
 
 def _fmt(value) -> str:
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--backend", choices=["analytic", "statevector"], default="analytic")
     est.add_argument("--max-qubits", type=int, default=22, help="statevector qubit cap")
-    est.add_argument("--workers", type=int, default=1, help="sampling threads (output-invariant)")
+    est.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     est.add_argument("--report", default=None, help="also write the report to this file")
     est.add_argument("--samples-csv", default=None, help="write per-shot a,z,zm rows")
     est.set_defaults(func=cmd_estimate)
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     pat.add_argument("--epsilon", type=float, default=0.25)
     pat.add_argument("--fail-prob", type=float, default=0.05)
     pat.add_argument("--seed", type=int, default=0)
-    pat.add_argument("--workers", type=int, default=1)
+    pat.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     pat.add_argument("--report", default=None)
     pat.set_defaults(func=cmd_paths)
 

@@ -17,14 +17,15 @@ an analytic sampler that draws from the exact outcome distribution
 
     Pr(a | phase phi) = sin^2(pi T d) / (T^2 sin^2(pi d)),  d = phi - a/T
 
-per eigen-atom by rejection, which needs no 2^p-sized vector and therefore
-runs at any register width.
+per eigen-atom by vectorised rejection, which needs no 2^p-sized vector and
+runs at any register width up to p = 62 (outcomes are int64).  Shots are
+drawn in blocks of 4,096, each block from its own Philox stream spawned from
+the seed, so the outcomes depend only on the seed and k.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +165,6 @@ def eigenphase(lam: float) -> float:
     return (lam % _TWO_PI) / _TWO_PI
 
 
-# exact outcome probability at circular grid offset d = wrap(phi*T - a)
-def _outcome_prob(d: float, t: float) -> float:
-    if d == 0.0:
-        return 1.0
-    num = math.sin(math.pi * d)
-    den = t * math.sin(math.pi * d / t)
-    return (num / den) ** 2
-
-
 def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
     """Exact outcome distribution over all 2^p outcomes for a spectral measure.
 
@@ -287,60 +279,61 @@ def moment_of_distribution(probs: np.ndarray, p: int, m: int) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
+# shots per block; each block draws from its own Philox stream
+BLOCK_SHOTS = 4096
 
-def _sample_outcome_for_phase(phi: float, p: int, gen: np.random.Generator) -> int:
-    """Draw one outcome a ~ Pr(a | phi) exactly, by rejection.
+# widest register the sampler accepts: outcomes a* + j with a* <= 2^p and
+# |j| <= 2^(p-1) must fit int64
+MAX_SAMPLED_P = 62
 
-    Proposal: center a* = round(phi*T), offset j with envelope weight 1 at
-    j=0 and 1/(2|j|-1)^2 otherwise.  The target satisfies
-    Pr(a) <= 1/(4 d^2) for circular offset d and |d| >= |j| - 1/2, so the
-    envelope dominates and acceptance runs at a constant rate (~29%).
+
+def _envelope(j: np.ndarray) -> np.ndarray:
+    """Proposal weight e(j) = 1 for |j| <= 1 and 1/(4i(i-1)) for i = |j| >= 2."""
+    i = np.abs(j)
+    return 1.0 / np.maximum(4.0 * i * (i - 1.0), 1.0)
+
+
+def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.ndarray:
+    """One outcome a ~ Pr(a | phi) per phase, exactly, by vectorised rejection.
+
+    Proposal: centre a* = round(phi*T) plus an offset j with envelope
+    e(0) = e(+-1) = 1 and e(+-i) = 1/(4i(i-1)) for i >= 2, total mass
+    1 + 2 + 2 * sum_{i>=2} 1/(4i(i-1)) = 3.5.  It dominates the target: for
+    j in (-T/2, T/2] the circular grid offset satisfies |d| >= |j| - 1/2, and
+    sin(pi x) >= 2x on [0, 1/2] gives Pr <= 1/(4 d^2) <= 1/(2i-1)^2, which is
+    below 1/(4i(i-1)) because (2i-1)^2 = 4i(i-1) + 1.  Offsets outside
+    (-T/2, T/2] have target weight 0 and are always rejected, so each
+    round accepts a shot with probability 1/3.5 (~29%).
+
+    The tail magnitude has the closed-form inverse i = 1 + floor(1/U) with U
+    uniform on (0, 1]: Pr(i) = 1/(i-1) - 1/i = 1/(i(i-1)).  Each round draws
+    for the shots still pending, until none are.
     """
     t = 1 << p
-    tf = float(t)
-    x0 = phi * tf
-    a_star = int(round(x0))
-    half = t // 2
-    tail = math.pi**2 / 8.0  # sum of 1/(2i-1)^2
-    z_total = 1.0 + 2.0 * tail
-    while True:
-        u = gen.random() * z_total
-        if u < 1.0:
-            j = 0
-        else:
-            w = u - 1.0
-            side = 1 if w < tail else -1
-            v = w - tail if w >= tail else w
-            cum = 0.0
-            i = 0
-            while True:
-                i += 1
-                cum += 1.0 / (2 * i - 1) ** 2
-                if v < cum or i > t:
-                    break
-            if i > t:
-                continue
-            j = side * i
-        if j <= -half or j > half:
-            continue
-        a = (a_star + j) % t
-        d = (a - x0 + tf / 2.0) % tf - tf / 2.0
-        prob = _outcome_prob(d, tf)
-        envelope = 1.0 if j == 0 else 1.0 / (2 * abs(j) - 1) ** 2
-        if gen.random() * envelope <= prob:
-            return a
+    x0 = phases * float(t)
+    centre = np.rint(x0)
+    frac = x0 - centre
+    # Pr(a* + j) = sin^2(pi d) / (T sin(pi d / T))^2 at grid offset d = j - frac,
+    # and sin^2(pi d) = sin^2(pi frac) for integer j, exact at any |j|
+    num = np.sin(np.pi * frac) ** 2
+    offsets = np.empty(len(phases), dtype=np.int64)
+    pending = np.arange(len(phases))
+    while pending.size:
+        u, v, w = gen.random((3, pending.size))
+        pick = 3.5 * u  # [0, 3): j in {-1, 0, 1}; [3, 3.25): +tail; [3.25, 3.5): -tail
+        tail = 1.0 + np.floor(1.0 / (1.0 - v))
+        j = np.where(pick < 3.0, np.floor(pick) - 1.0, np.where(pick < 3.25, tail, -tail))
+        den = t * np.sin(np.pi * (j - frac[pending]) / t)
+        # w < Pr/e(j) without dividing; d = 0 gives den = 0 and always accepts
+        keep = (j > -t / 2) & (j <= t / 2) & (w * _envelope(j) * den * den <= num[pending])
+        offsets[pending[keep]] = j[keep]
+        pending = pending[~keep]
+    return (centre.astype(np.int64) + offsets) % t
 
 
-def _sample_range(
-    lo: int,
-    hi: int,
-    children: list[np.random.SeedSequence],
-    draw_one,
-    out: np.ndarray,
-) -> None:
-    for i in range(lo, hi):
-        gen = np.random.Generator(np.random.Philox(children[i]))
-        out[i] = draw_one(gen)
+def _pick(cdf: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n inverse-CDF draws of an index into cdf."""
+    return np.minimum(np.searchsorted(cdf, gen.random(n), side="right"), len(cdf) - 1)
 
 
 def sample_measurements(
@@ -354,22 +347,28 @@ def sample_measurements(
 ) -> np.ndarray:
     """k independent phase-estimation outcomes for observable A/b in state psi.
 
-    Every shot owns a Philox stream spawned from the seed, so the outcome
-    array is identical for any worker count.
+    Shots are drawn in blocks of BLOCK_SHOTS, block i from the i-th Philox
+    stream spawned from the seed, so the outcome array depends only on
+    (seed, k): a block's outcomes do not depend on k, and sampling runs on
+    one thread whatever `workers` is (still validated, for the CLI).
+    Registers wider than MAX_SAMPLED_P bits are refused before any draw.
     """
     if backend is None:
         backend = analytic_backend()
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if params.p > MAX_SAMPLED_P:
+        raise ValueError(
+            f"register width p={params.p} exceeds the sampler limit p <= {MAX_SAMPLED_P} "
+            "(outcomes must fit int64); use a larger epsilon or a smaller m"
+        )
     dense = matrix.to_dense() / b
     if backend.variant == STATEVECTOR:
         _check_statevector_budget(matrix.dim, params.p, backend)
-        probs = qpe_statevector(dense, psi, params.p, backend.max_qubits)
-        cdf = np.cumsum(probs)
-        top = len(cdf) - 1
+        cdf = np.cumsum(qpe_statevector(dense, psi, params.p, backend.max_qubits))
 
-        def draw_one(gen: np.random.Generator) -> int:
-            return min(int(np.searchsorted(cdf, gen.random(), side="right")), top)
+        def draw_block(gen: np.random.Generator, n: int) -> np.ndarray:
+            return _pick(cdf, n, gen)
 
     else:
         measure = induced_measure(eig_sym(dense), psi)
@@ -378,27 +377,17 @@ def sample_measurements(
                 raise ValueError(
                     f"eigenvalue {lam} outside [-1, 1]; b must dominate the spectral norm"
                 )
-        values = [lam for lam, _ in measure.atoms]
+        phases = np.array([eigenphase(lam) for lam, _ in measure.atoms])
         cdf = np.cumsum([w for _, w in measure.atoms])
-        top = len(values) - 1
 
-        def draw_one(gen: np.random.Generator) -> int:
-            idx = min(int(np.searchsorted(cdf, gen.random(), side="right")), top)
-            return _sample_outcome_for_phase(eigenphase(values[idx]), params.p, gen)
+        def draw_block(gen: np.random.Generator, n: int) -> np.ndarray:
+            return _draw_outcomes(phases[_pick(cdf, n, gen)], params.p, gen)
 
-    children = np.random.SeedSequence(seed).spawn(params.k)
-    out = np.zeros(params.k, dtype=np.int64)
-    if workers == 1:
-        _sample_range(0, params.k, children, draw_one, out)
-    else:
-        step = -(-params.k // workers)
-        ranges = [(lo, min(lo + step, params.k)) for lo in range(0, params.k, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_sample_range, lo, hi, children, draw_one, out) for lo, hi in ranges
-            ]
-            for f in futs:
-                f.result()
+    children = np.random.SeedSequence(seed).spawn(-(-params.k // BLOCK_SHOTS))
+    out = np.empty(params.k, dtype=np.int64)
+    for start, child in zip(range(0, params.k, BLOCK_SHOTS), children):
+        n = min(BLOCK_SHOTS, params.k - start)
+        out[start : start + n] = draw_block(np.random.Generator(np.random.Philox(child)), n)
     return out
 
 

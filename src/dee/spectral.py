@@ -112,11 +112,7 @@ def induced_measure(
             k += 1
         grp_w = float(np.sum(weights[i:k]))
         if grp_w > WEIGHT_FLOOR:
-            if grp_w > 0:
-                pos = float(np.dot(w[i:k], weights[i:k]) / grp_w)
-            else:
-                pos = float(np.mean(w[i:k]))
-            atoms.append((pos, grp_w))
+            atoms.append((float(np.dot(w[i:k], weights[i:k]) / grp_w), grp_w))
         i = k
     return SpectralMeasure(atoms=tuple(atoms))
 

@@ -136,6 +136,21 @@ class TestEstimate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_register_past_int64_refused(self, tmp_path, capsys, monkeypatch):
+        # m = 2^27 at eps = 1 needs p = 66; the run stops before the exact
+        # oracle would take 2^27 matvecs
+        path = tmp_path / "half.mat"
+        path.write_text("2 1\n0 1 0.5\n")
+        oracle_calls = []
+        monkeypatch.setattr("dee.cli.power_diag_exact", lambda *a: oracle_calls.append(a))
+        rc = main([
+            "estimate", "--matrix", str(path), "--j", "0", "--m", "134217728",
+            "--b", "1.0", "--epsilon", "1.0",
+        ])
+        assert rc == 1
+        assert "p <= 62" in capsys.readouterr().err
+        assert oracle_calls == []
+
 
 class TestExact:
     def test_diagonal_value(self, triangle_file, capsys):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from dee.qpe import (
+    BLOCK_SHOTS,
+    MAX_SAMPLED_P,
     QpeParams,
+    _envelope,
     analytic_backend,
     choose_params,
     eigenphase,
@@ -286,6 +289,88 @@ class TestSampling:
         psi = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             sample_measurements(a, 1.0, psi, params, seed=0)
+
+
+
+def _params_at_width(p, k):
+    """Budget at register width p (eps = 1, m = floor(2^(p/2) / 48)) with k shots.
+
+    k is set after validation, so runs shorter than the Hoeffding floor
+    (down to a single shot) reach the sampler's block arithmetic.
+    """
+    m = (1 << (p // 2)) // 48
+    base = choose_params(m, 1.0, 0.2)
+    assert base.p == p
+    object.__setattr__(base, "k", k)
+    return base
+
+
+def _offset_law(j, frac, t):
+    """Closed-form Pr(round(phi*T) + j | phi) at grid offset d = j - frac."""
+    d = np.asarray(j, dtype=np.float64) - frac
+    return (np.sinc(d) / np.sinc(d / t)) ** 2
+
+
+class TestBlockSampler:
+    def test_envelope_dominates_outcome_law(self, rng):
+        for p in (1, 2, 3, 12, 40, 62):
+            t = 1 << p
+            window = np.arange(max(-64, -t // 2 + 1), min(64, t // 2) + 1)
+            for lam in rng.uniform(-1.0, 1.0, size=25):
+                x0 = eigenphase(float(lam)) * t
+                centre = round(x0)
+                law = _offset_law(window, x0 - centre, t)
+                assert np.all(law <= _envelope(window.astype(np.float64)) * (1.0 + 1e-12))
+                if p <= 12:
+                    # the windowed closed form is the full outcome law
+                    exact = qpe_distribution_analytic(make_measure([(float(lam), 1.0)]), p)
+                    assert np.allclose(law, exact[(centre + window) % t], rtol=0, atol=1e-12)
+
+    def test_offset_histogram_matches_closed_form_at_p40(self):
+        # one atom at p = 40; only a +-64 window around round(phi*T) is
+        # tabulated, the rest of the law lumped into one outside bin
+        p, k, lam = 40, 200_000, 0.3
+        t = 1 << p
+        x0 = eigenphase(lam) * t
+        centre = round(x0)
+        window = np.arange(-64, 65)
+        law = _offset_law(window, x0 - centre, t)
+        want = np.append(law, 1.0 - law.sum())
+        # three times the bound sum_i sqrt(p_i (1 - p_i) / k) / 2 on E[TV],
+        # fixed before drawing
+        tol = 1.5 * float(np.sum(np.sqrt(want * (1.0 - want) / k)))
+        matrix = from_coordinate_list(1, [(0, 0, lam)])
+        draws = sample_measurements(matrix, 1.0, np.array([1.0]), _params_at_width(p, k), seed=19)
+        offset = (draws - centre + t // 2) % t - t // 2
+        inside = np.abs(offset) <= 64
+        got = np.append(np.bincount(offset[inside] + 64, minlength=129), np.count_nonzero(~inside)) / k
+        assert total_variation(got, want) < tol
+
+    def test_blocks_do_not_depend_on_k(self):
+        a = adjacency_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        psi = np.array([1.0, 0.0, 0.0])
+        full = sample_measurements(a, 2.0, psi, _params_at_width(12, BLOCK_SHOTS), seed=8)
+        longer = sample_measurements(a, 2.0, psi, _params_at_width(12, BLOCK_SHOTS + 1), seed=8)
+        assert np.array_equal(longer[:BLOCK_SHOTS], full)
+
+    @pytest.mark.parametrize("k", [1, 4095, 4096, 4097, 8193])
+    def test_output_depends_only_on_seed_and_k(self, k):
+        a = adjacency_from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        psi = np.array([0.6, 0.8, 0.0])
+        params = _params_at_width(12, k)
+        one = sample_measurements(a, 2.0, psi, params, seed=5, workers=1)
+        assert one.shape == (k,) and one.dtype == np.int64
+        for workers in (1, 3):
+            again = sample_measurements(a, 2.0, psi, params, seed=5, workers=workers)
+            assert np.array_equal(one, again)
+
+    def test_register_past_int64_refused(self):
+        matrix = from_coordinate_list(1, [(0, 0, 0.3)])
+        psi = np.array([1.0])
+        widest = sample_measurements(matrix, 1.0, psi, _params_at_width(MAX_SAMPLED_P, 100))
+        assert np.all((widest >= 0) & (widest < 1 << MAX_SAMPLED_P))
+        with pytest.raises(ValueError, match="p <= 62"):
+            sample_measurements(matrix, 1.0, psi, _params_at_width(MAX_SAMPLED_P + 2, 100))
 
 
 class TestEstimators:
