@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dee.sparse import data_lines
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -332,11 +334,7 @@ _GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CNOT": 2, "TOFF": 3, "ROT": 2}
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = data_lines(text)
     if not lines:
         raise ValueError("circuit text has no data lines")
     lineno, header = lines[0]

@@ -24,6 +24,7 @@ from dee.sparse import (
     format_matrix,
     power_diag_exact,
     power_entry_exact,
+    power_scale,
     read_graph_file,
     read_matrix_file,
 )
@@ -40,7 +41,9 @@ from dee import hardness, gateset
 from dee.circuits import read_circuit_file
 from dee.verify import run_bound_checks
 
+# estimate reports the exact value only while the oracle's m matvecs on N rows stay cheap
 EXACT_ORACLE_MAX_DIM = 128
+EXACT_ORACLE_MAX_M = 4096
 WORKERS_HELP = "accepted and validated; sampling runs on one thread, output is invariant"
 
 
@@ -77,6 +80,8 @@ def cmd_estimate(args) -> int:
     b = matrix.norm_bound
     params = choose_params(args.m, args.epsilon, args.fail_prob)
     backend = _backend_from_args(args)
+    tol = args.epsilon * power_scale(b, args.m)
+    with_oracle = matrix.dim <= EXACT_ORACLE_MAX_DIM and args.m <= EXACT_ORACLE_MAX_M
     pairs: list[tuple[str, object]] = [
         ("command", "estimate"),
         ("matrix", args.matrix),
@@ -91,11 +96,7 @@ def cmd_estimate(args) -> int:
             matrix, args.i, args.j, args.m, params, backend, seed=args.seed, workers=args.workers
         )
         pairs.append(("i", args.i))
-        exact = (
-            power_entry_exact(matrix, args.i, args.j, args.m)
-            if matrix.dim <= EXACT_ORACLE_MAX_DIM
-            else None
-        )
+        exact = power_entry_exact(matrix, args.i, args.j, args.m) if with_oracle else None
         decision = None
     else:
         instance = DeeInstance(
@@ -120,11 +121,7 @@ def cmd_estimate(args) -> int:
                 f"{int(a)},{float(zv)!r},{float(zmv)!r}" for a, zv, zmv in zip(outcomes, z, zm)
             )
             files.append((args.samples_csv, "\n".join(rows) + "\n"))
-        exact = (
-            power_diag_exact(matrix, args.j, args.m)
-            if matrix.dim <= EXACT_ORACLE_MAX_DIM
-            else None
-        )
+        exact = power_diag_exact(matrix, args.j, args.m) if with_oracle else None
     matrix_text = format_matrix(matrix)
     pairs.extend(
         [
@@ -146,7 +143,6 @@ def cmd_estimate(args) -> int:
     if decision is not None:
         pairs.append(("decision", decision.side.value))
     if exact is not None:
-        tol = args.epsilon * b**args.m
         pairs.append(("exact", exact))
         pairs.append(("within_tolerance", abs(estimate - exact) <= tol))
         if decision is not None:
@@ -190,23 +186,15 @@ def cmd_reduce(args) -> int:
     bits = args.input
     if args.integer:
         red = gateset.reduce_integer(circuit, bits)
-        matrix = red.observable.matrix
-        dee = red.dee
-        alpha = red.alpha1_sq
-        n_pos = red.n_positions
-        matrix_text = format_matrix(matrix, integer_values=True)
-        e0 = gateset.predicted_integer_diag(n_pos, 0.0, dee.m) / dee.b**dee.m
-        e1 = gateset.predicted_integer_diag(n_pos, 1.0, dee.m) / dee.b**dee.m
-        predicted = gateset.predicted_integer_diag(n_pos, alpha, dee.m)
     else:
         red = hardness.reduce(circuit, bits)
-        matrix = red.dee.matrix
-        dee = red.dee
-        alpha = red.alpha1_sq
-        n_pos = red.n_positions
-        matrix_text = format_matrix(matrix)
-        e0, e1 = hardness.moment_separation(n_pos, dee.m)
-        predicted = hardness.predicted_diag(n_pos, alpha, dee.m)
+    dee = red.dee
+    matrix = dee.matrix
+    alpha = red.alpha1_sq
+    n_pos = red.n_positions
+    matrix_text = format_matrix(matrix, integer_values=args.integer)
+    e0, e1 = hardness.moment_separation(n_pos, dee.m)
+    predicted = dee.b**dee.m * hardness.predicted_diag(n_pos, alpha, dee.m)
     exact = power_diag_exact(matrix, dee.j, dee.m)
     tol = dee.epsilon * dee.b**dee.m
     verdict = "accept" if exact < dee.g else "reject"
@@ -264,6 +252,7 @@ def cmd_paths(args) -> int:
     n, edges = read_graph_file(args.graph)
     matrix = adjacency_from_edges(n, edges)
     b = matrix.norm_bound
+    tol = args.epsilon * power_scale(b, args.m)
     exact = power_diag_exact(matrix, args.j, args.m)
     params = choose_params(args.m, args.epsilon, args.fail_prob)
     outcomes = sample_measurements(
@@ -276,7 +265,6 @@ def cmd_paths(args) -> int:
         workers=args.workers,
     )
     estimate = estimate_from_outcomes(outcomes, params, b)
-    tol = args.epsilon * b**args.m
     pairs = [
         ("command", "paths"),
         ("graph", args.graph),

@@ -41,9 +41,8 @@ from dee.circuits import (
     _bits,
     _perm_image,
 )
-from dee.sparse import DeeInstance, SparseSymmetricMatrix, _build_from_row_dicts
-from dee.spectral import moment
-from dee.hardness import cycle_phase_measure
+from dee.sparse import DeeInstance, SparseSymmetricMatrix
+from dee.hardness import assemble_clock, moment_separation, predicted_diag
 
 OBSERVABLE_SCALE = 2.0 * math.sqrt(2.0)
 
@@ -205,29 +204,16 @@ def build_integer_observable(
 ) -> IntegerObservable:
     """Assemble the scaled clock observable from uniform-scale elements.
 
-    Needs M >= 3 so the two block neighbors of a row never collide.  Entries
-    come straight from element_int_row/element_int_col, so they are signed
-    units by construction.
+    The weight is 1 because s * (1/2) * (1/sqrt(2)) = 1.  Needs M >= 3 so
+    the two block neighbors of a row never collide; entries then come
+    straight from element_int_row, so they are signed units by construction.
     """
     m_count = len(elements)
     if m_count < 3:
         raise ValueError(f"need at least 3 elements to build the clock, got {m_count}")
     if n_qubits is None:
         n_qubits = max(e.max_qubit() for e in elements) + 1
-    nd = 1 << n_qubits
-    dim = m_count * nd
-    row_dicts: list[dict[int, float]] = []
-    for r in range(dim):
-        l, u = divmod(r, nd)
-        row: dict[int, float] = {}
-        prev = (l - 1) % m_count
-        for v, val in element_int_row(elements[prev], u, n_qubits):
-            row[prev * nd + v] = float(val)
-        nxt = (l + 1) % m_count
-        for v, val in element_int_col(elements[l], u, n_qubits):
-            row[nxt * nd + v] = float(val)
-        row_dicts.append(row)
-    matrix = _build_from_row_dicts(dim, row_dicts, norm_bound=OBSERVABLE_SCALE)
+    matrix = assemble_clock(elements, element_int_row, n_qubits, 1.0, OBSERVABLE_SCALE)
     return IntegerObservable(matrix=matrix, scale=OBSERVABLE_SCALE)
 
 
@@ -249,8 +235,7 @@ def even_m_thresholds(n_positions: int, m: int, scale: float = OBSERVABLE_SCALE)
             f"scale^m = {scale}^{m} exceeds the float range; clock length must stay below 10"
         )
     s_m = scale**m
-    e0 = moment(cycle_phase_measure(n_positions, twisted=False), m)
-    e1 = moment(cycle_phase_measure(n_positions, twisted=True), m)
+    e0, e1 = moment_separation(n_positions, m)
     if (e0 - e1) / 3.0 <= 1e-12:
         raise ValueError(f"moment gap E0-E1 = {e0 - e1} is degenerate at m={m}")
     g = s_m * (e0 + e1) / 2.0
@@ -313,6 +298,4 @@ def reduce_integer(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> Integer
 
 def predicted_integer_diag(n_positions: int, alpha1_sq: float, m: int, scale: float = OBSERVABLE_SCALE) -> float:
     """Exact target value s^m ((1-a) E0 + a E1) for the emitted matrix."""
-    e0 = moment(cycle_phase_measure(n_positions, twisted=False), m)
-    e1 = moment(cycle_phase_measure(n_positions, twisted=True), m)
-    return scale**m * ((1.0 - alpha1_sq) * e0 + alpha1_sq * e1)
+    return scale**m * predicted_diag(n_positions, alpha1_sq, m)

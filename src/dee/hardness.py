@@ -35,12 +35,11 @@ from dee.circuits import (
     apply_circuit,
     basis_index,
     build_mirror_circuit,
-    gate_col_entries,
     gate_row_entries,
     gate_unitary,
     _bits,
 )
-from dee.sparse import DeeInstance, SparseSymmetricMatrix, _build_from_row_dicts
+from dee.sparse import DeeInstance, SparseSymmetricMatrix, from_coordinate_arrays
 from dee.spectral import (
     SpectralMeasure,
     eig_sym,
@@ -114,34 +113,50 @@ def clock_unitary_dense(clock: ClockOperator) -> np.ndarray:
     return w
 
 
-def observable_row(clock: ClockOperator, r: int) -> list[tuple[int, float]]:
-    """Row r of A = (W + W^dagger)/2, computed from two gates only.
+def assemble_clock(
+    blocks, row_entries, n_qubits: int, weight: float, norm_bound: float
+) -> SparseSymmetricMatrix:
+    """weight * (W + W^T) for the clock W = sum_l |l+1 mod M><l| (x) B_l.
 
-    Block (l, l-1) of A is U_{l-1}/2 and block (l, l+1) is U_l^T/2, so row
-    l*2^n + u needs row u of gate l-1 and column u of gate l.  Each gate
-    contributes at most 2 nonzeros, hence at most 4 per row.
+    row_entries(B_l, u, n_qubits) lists the nonzeros (v, B_l[u, v]) of row u
+    of block l.  Each block row is read once: it lands at row (l+1)*2^n + u,
+    column l*2^n + v of W, and mirrored in W^T.  Entries that meet at one
+    position (only when M = 1) are summed, and zeros are dropped.
     """
-    if not 0 <= r < clock.dim:
-        raise ValueError(f"row {r} out of range for dimension {clock.dim}")
-    m_pos = clock.n_positions
-    nd = clock.system_dim
-    l, u = divmod(r, nd)
-    acc: dict[int, float] = {}
-    prev = (l - 1) % m_pos
-    for v, val in gate_row_entries(clock.gates[prev], u, clock.n_qubits):
-        col = prev * nd + v
-        acc[col] = acc.get(col, 0.0) + val / 2.0
-    nxt = (l + 1) % m_pos
-    for v, val in gate_col_entries(clock.gates[l], u, clock.n_qubits):
-        col = nxt * nd + v
-        acc[col] = acc.get(col, 0.0) + val / 2.0
-    return sorted((c, v) for c, v in acc.items() if v != 0.0)
+    m_pos = len(blocks)
+    nd = 1 << n_qubits
+    dim = m_pos * nd
+    rows, cols, vals = [], [], []
+    for l, block in enumerate(blocks):
+        dst = (l + 1) % m_pos * nd
+        for u in range(nd):
+            for v, val in row_entries(block, u, n_qubits):
+                rows.append(dst + u)
+                cols.append(l * nd + v)
+                vals.append(val)
+    w_keys = np.array(rows, dtype=np.int64) * dim + cols
+    wt_keys = np.array(cols, dtype=np.int64) * dim + rows
+    keys, where = np.unique(np.concatenate([w_keys, wt_keys]), return_inverse=True)
+    summed = np.zeros(keys.size)
+    np.add.at(summed, where, weight * np.concatenate([vals, vals]))
+    return from_coordinate_arrays(dim, keys // dim, keys % dim, summed, norm_bound)
 
 
 def build_observable(clock: ClockOperator) -> SparseSymmetricMatrix:
-    """Assemble A row by row; norm bound 1 since W is unitary."""
-    row_dicts = [dict(observable_row(clock, r)) for r in range(clock.dim)]
-    return _build_from_row_dicts(clock.dim, row_dicts, norm_bound=1.0)
+    """A = (W + W^T)/2 from the gates' row oracles; norm bound 1 since W is unitary.
+
+    Block (l, l-1) of A is U_{l-1}/2 and block (l, l+1) is U_l^T/2, so row
+    l*2^n + u holds row u of gate l-1 and column u of gate l.  Each gate
+    contributes at most 2 nonzeros, hence at most 4 per row.
+    """
+    return assemble_clock(clock.gates, gate_row_entries, clock.n_qubits, 0.5, 1.0)
+
+
+def observable_row(clock: ClockOperator, r: int) -> tuple[tuple[int, float], ...]:
+    """Row r of A = (W + W^T)/2, read from the assembled observable."""
+    if not 0 <= r < clock.dim:
+        raise ValueError(f"row {r} out of range for dimension {clock.dim}")
+    return build_observable(clock).row(r)
 
 
 def symmetric_overlap(clock: ClockOperator, xs: str | list[int] | tuple[int, ...]) -> float:
@@ -245,10 +260,7 @@ def reduce(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> HardnessInstanc
 
 def predicted_diag(n_positions: int, alpha1_sq: float, m: int) -> float:
     """(1 - a) E0 + a E1 from the reference measures; the exact-oracle target."""
-    e0, e1 = (
-        moment(cycle_phase_measure(n_positions, twisted=False), m),
-        moment(cycle_phase_measure(n_positions, twisted=True), m),
-    )
+    e0, e1 = moment_separation(n_positions, m)
     return (1.0 - alpha1_sq) * e0 + alpha1_sq * e1
 
 

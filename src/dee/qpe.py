@@ -99,14 +99,6 @@ def choose_params(m: int, epsilon: float, fail_prob: float) -> QpeParams:
 
 
 @dataclass(frozen=True)
-class MeasurementSample:
-    """One phase-estimation shot: raw outcome a and its eigenvalue estimate z."""
-
-    a: int
-    z: float
-
-
-@dataclass(frozen=True)
 class EstimatorBackend:
     variant: str
     max_qubits: int = 22

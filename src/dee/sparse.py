@@ -1,10 +1,12 @@
-"""Sparse real symmetric matrices with row-list access and exact power oracles.
+"""Sparse real symmetric matrices in padded slot arrays, with exact power oracles.
 
-Matrices are stored row-complete: every row holds all of its nonzeros, so the
-symmetric pair (i, j) / (j, i) appears once in each of the two rows.  Powers
-are never formed; (A^m)_jj is m sparse matvecs from e_j followed by reading
-one coordinate, which is the oracle the estimator and the reductions are
-checked against.
+A matrix is two N x s arrays, s being the largest row size: row i holds its
+nonzero columns in ascending order in cols[i] and their values in vals[i],
+then padding slots with column 0 and value 0.0.  Both triangles are stored,
+so a matvec is s vectorised passes over the slots.  `from_coordinate_arrays`
+is the only code that builds this layout.  Powers are never formed; (A^m)_ij
+is m sparse matvecs from e_j followed by reading one coordinate, which is
+the oracle the estimator and the reductions are checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,93 +27,111 @@ class Side(enum.Enum):
     BELOW_G = "BelowG"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSymmetricMatrix:
-    """Real symmetric N x N matrix, row-complete sparse storage.
+    """Real symmetric N x N matrix in padded slot arrays.
+
+    Built by `from_coordinate_arrays`, which guarantees the slot layout and
+    exact symmetry.  `==` is identity; compare `format_matrix` text or
+    `to_dense()` for equal contents.
 
     Attributes
     ----------
     dim : int
         N, at least 1.
-    rows : tuple of per-row tuples of (column, value)
-        Row i lists all nonzeros of row i, sorted by column.  Symmetry is
-        enforced at construction: rows[i] contains (j, v) iff rows[j]
-        contains (i, v) with the identical float.
-    max_row_nnz : int
-        The sparsity parameter s = max_i len(rows[i]).
+    cols, vals : read-only arrays of shape (N, s)
+        Row i lists its nonzeros by ascending column, then pads with column
+        0 and value 0.0.  The width s is the sparsity parameter max_row_nnz.
     norm_bound : float
         A known b > 0 with b >= ||A||_2 (spectral norm).
     """
 
     dim: int
-    rows: tuple[tuple[Entry, ...], ...]
-    max_row_nnz: int
+    cols: np.ndarray
+    vals: np.ndarray
     norm_bound: float
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"matrix dimension must be >= 1, got {self.dim}")
-        if len(self.rows) != self.dim:
-            raise ValueError("row count does not match dim")
+        if self.cols.shape != self.vals.shape or len(self.cols) != self.dim:
+            raise ValueError("slot arrays do not match dim")
         if not (math.isfinite(self.norm_bound) and self.norm_bound > 0):
             raise ValueError(f"norm bound must be finite and positive, got {self.norm_bound}")
-        if self.max_row_nnz != max((len(r) for r in self.rows), default=0):
-            raise ValueError("max_row_nnz inconsistent with rows")
+        self.cols.flags.writeable = False
+        self.vals.flags.writeable = False
 
-    # Padded column/value arrays so a matvec is a handful of vectorized ops.
-    @cached_property
-    def _cols_padded(self) -> np.ndarray:
-        cols = np.zeros((self.dim, self.max_row_nnz), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for t, (j, _) in enumerate(row):
-                cols[i, t] = j
-        return cols
+    @property
+    def max_row_nnz(self) -> int:
+        """The sparsity parameter s = the largest row size."""
+        return self.cols.shape[1]
 
-    @cached_property
-    def _vals_padded(self) -> np.ndarray:
-        vals = np.zeros((self.dim, self.max_row_nnz), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            for t, (_, v) in enumerate(row):
-                vals[i, t] = v
-        return vals
+    @property
+    def rows(self) -> tuple[tuple[Entry, ...], ...]:
+        """Every row as by `row`; Python objects, meant for small matrices."""
+        return tuple(self.row(i) for i in range(self.dim))
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self.rows[i]
+        """The nonzeros (column, value) of row i, by ascending column."""
+        size = np.count_nonzero(self.vals[i])
+        return tuple(zip(self.cols[i, :size].tolist(), self.vals[i, :size].tolist()))
 
     def entry(self, i: int, j: int) -> float:
-        for col, val in self.rows[i]:
-            if col == j:
-                return val
-        return 0.0
+        hit = np.flatnonzero((self.cols[i] == j) & (self.vals[i] != 0.0))
+        return float(self.vals[i, hit[0]]) if hit.size else 0.0
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                a[i, j] = v
+        i, t = np.nonzero(self.vals)
+        a[i, self.cols[i, t]] = self.vals[i, t]
         return a
 
     @property
     def nnz(self) -> int:
         """Number of stored entries counting only i <= j."""
-        return sum(1 for i, row in enumerate(self.rows) for j, _ in row if i <= j)
+        upper = self.cols >= np.arange(self.dim)[:, None]
+        return int(np.count_nonzero(upper & (self.vals != 0.0)))
 
 
-def _build_from_row_dicts(
-    dim: int, row_dicts: list[dict[int, float]], norm_bound: float | None
+def from_coordinate_arrays(
+    dim: int, rows, cols, vals, norm_bound: float | None = None
 ) -> SparseSymmetricMatrix:
-    rows = tuple(tuple(sorted(d.items())) for d in row_dicts)
-    # exact symmetry check; construction paths should already guarantee it
-    for i, row in enumerate(rows):
-        for j, v in row:
-            if v != row_dicts[j].get(i):
-                raise ValueError(f"asymmetric entry pair at ({i}, {j})")
-    max_nnz = max((len(r) for r in rows), default=0)
-    if norm_bound is None:
-        norm_bound = _gershgorin_of_rows(rows)
-        if norm_bound == 0.0:
-            norm_bound = 1.0  # zero matrix: any positive bound works
-    return SparseSymmetricMatrix(dim=dim, rows=rows, max_row_nnz=max_nnz, norm_bound=norm_bound)
+    """Build a matrix from the entries (rows[k], cols[k], vals[k]) of both triangles.
+
+    Each position may appear once and the entries must be exactly symmetric:
+    (i, j, v) needs (j, i, v) with the identical float.  Zero values are
+    dropped.  With norm_bound=None the Gershgorin row-sum bound is used (1.0
+    for the zero matrix).
+    """
+    if dim < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {dim}")
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    # each check names its first offending entry: the loops run at most once
+    for k in np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))[:1]:
+        raise ValueError(f"entry ({rows[k]}, {cols[k]}) out of range for dimension {dim}")
+    for k in np.flatnonzero(~np.isfinite(vals))[:1]:
+        raise ValueError(f"entry ({rows[k]}, {cols[k]}) has non-finite value {vals[k]}")
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    for k in order[np.flatnonzero(np.diff(key[order]) == 0)[:1]]:
+        raise ValueError(f"duplicate entry for pair ({rows[k]}, {cols[k]})")
+    order = order[vals[order] != 0.0]
+    rows, cols, vals = rows[order], cols[order], vals[order]  # by (row, column)
+    mirror = np.argsort(cols * dim + rows)
+    asymmetric = (cols[mirror] != rows) | (rows[mirror] != cols) | (vals[mirror] != vals)
+    for k in np.flatnonzero(asymmetric)[:1]:
+        raise ValueError(f"asymmetric entry pair at ({rows[k]}, {cols[k]})")
+    counts = np.bincount(rows, minlength=dim)
+    width = int(counts.max())
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    slot_cols = np.zeros((dim, width), dtype=np.int64)
+    slot_vals = np.zeros((dim, width))
+    slot_cols[rows, slot] = cols
+    slot_vals[rows, slot] = vals
+    if norm_bound is None:  # Gershgorin; any positive bound serves the zero matrix
+        norm_bound = max(math.fsum(row) for row in np.abs(slot_vals).tolist()) or 1.0
+    return SparseSymmetricMatrix(dim=dim, cols=slot_cols, vals=slot_vals, norm_bound=norm_bound)
 
 
 def from_coordinate_list(
@@ -126,56 +145,30 @@ def from_coordinate_list(
     filled in automatically.  Zero values are dropped.  With norm_bound=None
     the Gershgorin row-sum bound is used (1.0 for the zero matrix).
     """
-    if n < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    row_dicts: list[dict[int, float]] = [{} for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for i, j, val in entries:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"entry ({i}, {j}) out of range for dimension {n}")
-        if not math.isfinite(val):
-            raise ValueError(f"entry ({i}, {j}) has non-finite value {val}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"duplicate entry for pair ({i}, {j})")
-        seen.add(key)
-        if val == 0.0:
-            continue
-        row_dicts[i][j] = val
-        if i != j:
-            row_dicts[j][i] = val
-    return _build_from_row_dicts(n, row_dicts, norm_bound)
+    try:
+        i, j = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as exc:
+        raise ValueError(f"entry index out of range for dimension {n}") from exc
+    vals = np.array([e[2] for e in entries], dtype=np.float64)
+    off = i != j  # mirror the off-diagonal entries
+    rows, cols = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+    return from_coordinate_arrays(n, rows, cols, np.concatenate([vals, vals[off]]), norm_bound)
 
 
 def adjacency_from_edges(n: int, edges: list[tuple[int, int]]) -> SparseSymmetricMatrix:
-    """Adjacency matrix of a simple undirected graph; norm bound = max degree."""
-    row_dicts: list[dict[int, float]] = [{} for _ in range(n)]
+    """Adjacency matrix of a simple undirected graph.
+
+    Its norm bound is the Gershgorin bound, which here is the maximum degree.
+    """
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if v in row_dicts[u]:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        row_dicts[u][v] = 1.0
-        row_dicts[v][u] = 1.0
-    max_degree = max((len(d) for d in row_dicts), default=0)
-    bound = float(max_degree) if max_degree > 0 else 1.0
-    return _build_from_row_dicts(n, row_dicts, bound)
-
-
-def _gershgorin_of_rows(rows: tuple[tuple[Entry, ...], ...]) -> float:
-    best = 0.0
-    for row in rows:
-        s = math.fsum(abs(v) for _, v in row)
-        if s > best:
-            best = s
-    return best
+    return from_coordinate_list(n, [(u, v, 1.0) for u, v in edges])
 
 
 def gershgorin_bound(a: SparseSymmetricMatrix) -> float:
     """max_i sum_j |A_ij|, an upper bound on the spectral norm."""
-    return _gershgorin_of_rows(a.rows)
+    return max(math.fsum(row) for row in np.abs(a.vals).tolist())
 
 
 def matvec(a: SparseSymmetricMatrix, v: np.ndarray) -> np.ndarray:
@@ -190,7 +183,7 @@ def matvec(a: SparseSymmetricMatrix, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector shape {v.shape} does not match dimension {a.dim}")
     if a.max_row_nnz == 0:
         return np.zeros(a.dim)
-    terms = a._vals_padded * v[a._cols_padded]
+    terms = a.vals * v[a.cols]
     total = np.zeros(a.dim)
     comp = np.zeros(a.dim)
     for t in range(terms.shape[1]):  # Kahan across the <= s slots of every row at once
@@ -203,19 +196,11 @@ def matvec(a: SparseSymmetricMatrix, v: np.ndarray) -> np.ndarray:
 
 def power_diag_exact(a: SparseSymmetricMatrix, j: int, m: int) -> float:
     """(A^m)_jj by m sparse matvecs from e_j; cost O(m * N * s)."""
-    if not 0 <= j < a.dim:
-        raise ValueError(f"index {j} out of range for dimension {a.dim}")
-    if m < 0:
-        raise ValueError(f"power must be >= 0, got {m}")
-    v = np.zeros(a.dim)
-    v[j] = 1.0
-    for _ in range(m):
-        v = matvec(a, v)
-    return float(v[j])
+    return power_entry_exact(a, j, j, m)
 
 
 def power_entry_exact(a: SparseSymmetricMatrix, i: int, j: int, m: int) -> float:
-    """(A^m)_ij by m sparse matvecs from e_j."""
+    """(A^m)_ij by m sparse matvecs from e_j; ValueError if it leaves the float range."""
     if not 0 <= i < a.dim:
         raise ValueError(f"index {i} out of range for dimension {a.dim}")
     if not 0 <= j < a.dim:
@@ -224,9 +209,20 @@ def power_entry_exact(a: SparseSymmetricMatrix, i: int, j: int, m: int) -> float
         raise ValueError(f"power must be >= 0, got {m}")
     v = np.zeros(a.dim)
     v[j] = 1.0
-    for _ in range(m):
-        v = matvec(a, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for _ in range(m):
+            v = matvec(a, v)
+    if not math.isfinite(v[i]):
+        raise ValueError(f"(A^{m})[{i}, {j}] = {v[i]} is outside the float range")
     return float(v[i])
+
+
+def power_scale(b: float, m: int) -> float:
+    """b^m, refused with ValueError when it overflows the float range."""
+    try:
+        return b**m
+    except OverflowError:
+        raise ValueError(f"b^m = {b}^{m} overflows the float range") from None
 
 
 @dataclass(frozen=True)
@@ -253,12 +249,7 @@ class DeeInstance:
             raise ValueError(f"norm bound b must be finite and positive, got {self.b}")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        try:
-            scale = self.b**self.m
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):
-            raise ValueError(f"b^m = {self.b}^{self.m} overflows the float range")
+        scale = power_scale(self.b, self.m)
         if not math.isfinite(self.g) or abs(self.g) > scale:
             raise ValueError(f"threshold g={self.g} outside [-b^m, b^m] = [{-scale}, {scale}]")
 
@@ -286,7 +277,7 @@ def decide(estimate: float, g: float) -> DeeDecision:
 # ---------------------------------------------------------------------------
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
+def data_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -295,21 +286,27 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_matrix(text: str, norm_bound: float | None = None) -> SparseSymmetricMatrix:
-    lines = _data_lines(text)
+def _counted_body(text: str, kind: str, header_form: str, items: str) -> tuple[int, list]:
+    """(N, body lines) of a file whose header 'N COUNT' promises COUNT body lines."""
+    lines = data_lines(text)
     if not lines:
-        raise ValueError("matrix text has no data lines")
+        raise ValueError(f"{kind} text has no data lines")
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise ValueError(f"line {lineno}: expected header 'N NNZ', got {header!r}")
+        raise ValueError(f"line {lineno}: expected header {header_form!r}, got {header!r}")
     try:
-        n, nnz = int(parts[0]), int(parts[1])
+        n, count = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: bad header {header!r}") from exc
     body = lines[1:]
-    if len(body) != nnz:
-        raise ValueError(f"header promises {nnz} entries but {len(body)} data lines follow")
+    if len(body) != count:
+        raise ValueError(f"header promises {count} {items} but {len(body)} data lines follow")
+    return n, body
+
+
+def parse_matrix(text: str, norm_bound: float | None = None) -> SparseSymmetricMatrix:
+    n, body = _counted_body(text, "matrix", "N NNZ", "entries")
     entries = []
     for lineno, line in body:
         parts = line.split()
@@ -326,7 +323,10 @@ def parse_matrix(text: str, norm_bound: float | None = None) -> SparseSymmetricM
 
 
 def format_matrix(a: SparseSymmetricMatrix, integer_values: bool = False) -> str:
-    entries = [(i, j, v) for i, row in enumerate(a.rows) for j, v in row if i <= j]
+    i, t = np.nonzero(a.vals)  # row-major, so by (row, column)
+    j, v = a.cols[i, t], a.vals[i, t]
+    upper = i <= j
+    entries = list(zip(i[upper].tolist(), j[upper].tolist(), v[upper].tolist()))
     lines = [f"{a.dim} {len(entries)}"]
     for i, j, v in entries:
         if integer_values:
@@ -351,20 +351,7 @@ def write_matrix_file(path: str, a: SparseSymmetricMatrix, integer_values: bool 
 
 
 def parse_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("graph text has no data lines")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"line {lineno}: expected header 'N M', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: bad header {header!r}") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"header promises {m} edges but {len(body)} data lines follow")
+    n, body = _counted_body(text, "graph", "N M", "edges")
     edges = []
     for lineno, line in body:
         parts = line.split()

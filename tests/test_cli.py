@@ -151,6 +151,34 @@ class TestEstimate:
         assert "p <= 62" in capsys.readouterr().err
         assert oracle_calls == []
 
+    def test_exact_oracle_skipped_above_max_m(self, tmp_path, capsys, monkeypatch):
+        # m = 44,739,242 at eps = 1 needs p = 62, which the sampler accepts;
+        # the report then leaves out the oracle rather than run m matvecs
+        path = tmp_path / "half.mat"
+        path.write_text("2 1\n0 1 0.5\n")
+        oracle_calls = []
+        monkeypatch.setattr("dee.cli.power_diag_exact", lambda *a: oracle_calls.append(a))
+        rc = main([
+            "estimate", "--matrix", str(path), "--j", "0", "--m", "44739242",
+            "--b", "1.0", "--epsilon", "1.0",
+        ])
+        assert rc == 0
+        report = report_dict(capsys.readouterr().out)
+        assert report["p"] == "62"
+        assert oracle_calls == []
+        assert not {"exact", "within_tolerance", "promise_holds"} & set(report)
+
+    def test_offdiagonal_power_overflow_refused_before_sampling(self, triangle_file, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("dee.cli.estimate_offdiag", lambda *a, **k: calls.append(a))
+        rc = main([
+            "estimate", "--matrix", triangle_file, "--i", "0", "--j", "1",
+            "--m", "1100", "--epsilon", "0.5",
+        ])
+        assert rc == 1
+        assert "error: b^m = 2.0^1100 overflows the float range" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestExact:
     def test_diagonal_value(self, triangle_file, capsys):
@@ -163,6 +191,13 @@ class TestExact:
         rc = main(["exact", "--matrix", triangle_file, "--i", "0", "--j", "1", "--m", "3"])
         assert rc == 0
         assert report_dict(capsys.readouterr().out)["value"] == "3.0"
+
+    def test_value_outside_float_range_refused(self, triangle_file, capsys):
+        rc = main(["exact", "--matrix", triangle_file, "--j", "0", "--m", "1100"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "is outside the float range" in captured.err
 
 
 class TestReduce:
@@ -250,6 +285,16 @@ class TestPaths:
         assert rc == 0
         assert report_dict(capsys.readouterr().out)["closed_walks"] == "0"
 
+    def test_power_overflow_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "triangle.graph"
+        graph.write_text(TRIANGLE_GRAPH)
+        calls = []
+        monkeypatch.setattr("dee.cli.sample_measurements", lambda *a, **k: calls.append(a))
+        rc = main(["paths", "--graph", str(graph), "--j", "0", "--m", "1100", "--epsilon", "0.5"])
+        assert rc == 1
+        assert "error: b^m = 2.0^1100 overflows the float range" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestParser:
     def test_unknown_command_exits_with_usage_error(self):
@@ -261,3 +306,48 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+GOLDEN_MATRIX = "4 5\n0 0 0.5\n0 1 -0.25\n1 2 0.75\n2 3 1.5\n3 3 -0.125\n"
+ROT_CIRCUIT = "QUBITS 3\nH 1\nROT 2 0.7\nCNOT 2 1\nTOFF 1 2 0\n"
+
+
+class TestGolden:
+    """Pinned sha256 of stdout plus the written matrix for sampler-free commands.
+
+    Paths are relative to a fresh working directory, so the digests do not
+    depend on where the test runs.
+    """
+
+    def digest(self, argv, capsys, written=None):
+        import hashlib
+        from pathlib import Path
+
+        assert main(argv) == 0
+        blob = capsys.readouterr().out
+        if written:
+            blob += Path(written).read_text()
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("circuit, integer, want", [
+        pytest.param(TOFFOLI_CIRCUIT, False, "317dfb1a3cb7b1ad", id="toffoli"),
+        pytest.param(TOFFOLI_CIRCUIT, True, "976a5d5c91665bfb", id="toffoli-integer"),
+        pytest.param(ROT_CIRCUIT, False, "a69b8fca6350307d", id="rot"),
+    ])
+    def test_reduce(self, circuit, integer, want, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.circ").write_text(circuit)
+        argv = ["reduce", "--circuit", "c.circ", "--input", "000",
+                "--out-matrix", "o.mat", "--out-meta", "o.meta"]
+        got = self.digest(argv + ["--integer"] * integer, capsys, "o.mat")
+        assert got == want
+
+    @pytest.mark.parametrize("extra, want", [
+        pytest.param([], "d77d1a24cb84105f", id="diagonal"),
+        pytest.param(["--i", "3"], "ebe677861ebd6ba5", id="offdiagonal"),
+    ])
+    def test_exact(self, extra, want, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.mat").write_text(GOLDEN_MATRIX)
+        got = self.digest(["exact", "--matrix", "g.mat", "--j", "1", "--m", "9"] + extra, capsys)
+        assert got == want
