@@ -122,25 +122,19 @@ def is_permutation_gate(g: Gate) -> bool:
     return g.kind in _PERM_KINDS
 
 
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2
-_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z2 = np.array([[1.0, 0.0], [0.0, -1.0]])
-_CNOT4 = np.eye(4)[[0, 1, 3, 2]]
-_TOFF8 = np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]
+_FIXED_MATRICES = {
+    GateKind.H: np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2,
+    GateKind.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    GateKind.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
+    GateKind.CNOT: np.eye(4)[[0, 1, 3, 2]],
+    GateKind.TOFFOLI: np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Dense matrix on the gate's own qubits (first listed qubit = MSB)."""
-    if g.kind is GateKind.H:
-        return _H2.copy()
-    if g.kind is GateKind.X:
-        return _X2.copy()
-    if g.kind is GateKind.Z:
-        return _Z2.copy()
-    if g.kind is GateKind.CNOT:
-        return _CNOT4.copy()
-    if g.kind is GateKind.TOFFOLI:
-        return _TOFF8.copy()
+    if g.kind in _FIXED_MATRICES:
+        return _FIXED_MATRICES[g.kind].copy()
     if g.kind is GateKind.ROT:
         c, s = math.cos(g.angle), math.sin(g.angle)
         return np.array([[c, -s], [s, c]])
@@ -265,60 +259,69 @@ def build_mirror_circuit(y: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 # sparse row access
 #
-# row/column slices of a gate's full-space matrix, without building it.
-# Columns come from rows of the inverse: gates are real orthogonal, so
-# G^T = G^{-1}.
+# row/column slices of a gate's full-space matrix, without building it, for
+# one row index or a whole int array of them: the bit operations act
+# elementwise.  Columns come from rows of the inverse: gates are real
+# orthogonal, so G^T = G^{-1}.
 # ---------------------------------------------------------------------------
 
 
-def _perm_image(g: Gate, v: int) -> int:
-    if g.kind is GateKind.X:
-        return v ^ (1 << g.qubits[0])
-    if g.kind is GateKind.CNOT:
-        c, t = g.qubits
-        return v ^ (1 << t) if (v >> c) & 1 else v
-    if g.kind is GateKind.TOFFOLI:
-        c1, c2, t = g.qubits
-        return v ^ (1 << t) if ((v >> c1) & 1) and ((v >> c2) & 1) else v
-    raise ValueError(f"{g.kind.value} is not a permutation gate")
+def _perm_image(g: Gate, v):
+    """Image of row v (an int or an int array) under a permutation gate:
+    the target bit flips where every control bit is set."""
+    if g.kind not in _PERM_KINDS:
+        raise ValueError(f"{g.kind.value} is not a permutation gate")
+    *controls, t = g.qubits
+    on = 1
+    for c in controls:
+        on = on & (v >> c)
+    return v ^ ((on & 1) << t)
 
 
-def gate_row_entries(g: Gate, u: int, n: int) -> list[tuple[int, float]]:
-    """Nonzeros of row u of the gate's 2^n x 2^n matrix, sorted by column."""
-    if not 0 <= u < 2**n:
+def _merge_slots(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals with the slots of each row that share a column summed, in slot
+    order, into the first of them; the others become 0."""
+    slot = np.arange(len(cols)).reshape((-1,) + (1,) * (cols.ndim - 1))
+    first = np.argmax(cols[:, None] == cols[None, :], axis=1)
+    merged = np.zeros(vals.shape)
+    for s in range(len(cols)):
+        merged += np.where(first[s] == slot, vals[s], 0.0)
+    return merged
+
+
+def gate_row_entries(g: Gate, u, n: int):
+    """Nonzeros of row u of the gate's 2^n x 2^n matrix, sorted by column.
+
+    For an int u: a list of (column, value), a fused gate's terms merged and
+    their zeros dropped.  For an int array u: the slot arrays (cols, vals) of
+    shape (slots, *u.shape); a fused gate's terms are merged into the first
+    slot of their column, and the other slots hold 0.
+    """
+    u = np.asarray(u)
+    if np.any((u < 0) | (u >= 1 << n)):
         raise ValueError(f"row index {u} out of range for {n} qubits")
-    if g.kind in _PERM_KINDS:
-        return [(_perm_image(g, u), 1.0)]  # row u of a self-inverse permutation
-    if g.kind is GateKind.Z:
-        q = g.qubits[0]
-        return [(u, -1.0 if (u >> q) & 1 else 1.0)]
-    if g.kind is GateKind.H:
-        q = g.qubits[0]
-        base = u & ~(1 << q)
-        top = base | (1 << q)
-        inv = 1.0 / _SQRT2
-        if (u >> q) & 1:
-            return [(base, inv), (top, -inv)]
-        return [(base, inv), (top, inv)]
-    if g.kind is GateKind.ROT:
-        q = g.qubits[0]
-        base = u & ~(1 << q)
-        top = base | (1 << q)
-        c, s = math.cos(g.angle), math.sin(g.angle)
-        if (u >> q) & 1:
-            return [(base, s), (top, c)]
-        return [(base, c), (top, -s)]
-    if g.kind is GateKind.FUSED:
-        # row u of M_k ... M_1 expands right-to-left through the factors
-        acc = {u: 1.0}
+    q = g.qubits[0]
+    bit = (u >> q) & 1
+    if g.kind in _PERM_KINDS:  # row u of a self-inverse permutation
+        cols, vals = [_perm_image(g, u)], [np.ones(u.shape)]
+    elif g.kind is GateKind.Z:
+        cols, vals = [u], [1.0 - 2.0 * bit]
+    elif g.kind is not GateKind.FUSED:  # H and ROT: row `bit` of the 2x2 matrix
+        mat = gate_matrix(g)
+        cols, vals = [u & ~(1 << q), u | (1 << q)], [mat[bit, 0], mat[bit, 1]]
+    else:  # row u of M_k ... M_1 expands right-to-left, merging each factor's terms
+        cols, vals = u[None], np.ones((1,) + u.shape)
         for part in reversed(g.parts):
-            nxt: dict[int, float] = {}
-            for w, coeff in acc.items():
-                for v, val in gate_row_entries(part, w, n):
-                    nxt[v] = nxt.get(v, 0.0) + coeff * val
-            acc = {v: val for v, val in nxt.items() if val != 0.0}
-        return sorted(acc.items())
-    raise ValueError(f"unknown gate kind {g.kind}")
+            part_cols, part_vals = gate_row_entries(part, cols, n)
+            cols = part_cols.swapaxes(0, 1).reshape((-1,) + u.shape)
+            vals = _merge_slots(cols, (vals * part_vals).swapaxes(0, 1).reshape((-1,) + u.shape))
+        order = np.argsort(cols, axis=0, kind="stable")
+        cols, vals = np.take_along_axis(cols, order, 0), np.take_along_axis(vals, order, 0)
+    cols, vals = np.array(cols), np.array(vals, dtype=np.float64)
+    if u.ndim:
+        return cols, vals
+    pairs = zip(cols.tolist(), vals.tolist())
+    return [(c, v) for c, v in pairs if v != 0.0 or g.kind is not GateKind.FUSED]
 
 
 def gate_col_entries(g: Gate, u: int, n: int) -> list[tuple[int, float]]:
@@ -331,6 +334,7 @@ def gate_col_entries(g: Gate, u: int, n: int) -> list[tuple[int, float]]:
 # ---------------------------------------------------------------------------
 
 _GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CNOT": 2, "TOFF": 3, "ROT": 2}
+_PLAIN_GATES = {"H": h, "X": x, "Z": z, "CNOT": cnot, "TOFF": toffoli}  # arguments are qubits
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -357,16 +361,7 @@ def parse_circuit(text: str) -> Circuit:
             if name == "ROT":
                 gates.append(rot(int(args[0]), float(args[1])))
             else:
-                qs = tuple(int(a) for a in args)
-                gates.append(
-                    {
-                        "H": lambda qs: h(qs[0]),
-                        "X": lambda qs: x(qs[0]),
-                        "Z": lambda qs: z(qs[0]),
-                        "CNOT": lambda qs: cnot(qs[0], qs[1]),
-                        "TOFF": lambda qs: toffoli(qs[0], qs[1], qs[2]),
-                    }[name](qs)
-                )
+                gates.append(_PLAIN_GATES[name](*(int(a) for a in args)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return Circuit(n, tuple(gates))

@@ -29,6 +29,7 @@ from dee.sparse import (
     read_matrix_file,
 )
 from dee.qpe import (
+    MAX_STATEVECTOR_QUBITS,
     analytic_backend,
     choose_params,
     estimate_from_outcomes,
@@ -184,10 +185,7 @@ def cmd_reduce(args) -> int:
     t0 = time.perf_counter()
     circuit = read_circuit_file(args.circuit)
     bits = args.input
-    if args.integer:
-        red = gateset.reduce_integer(circuit, bits)
-    else:
-        red = hardness.reduce(circuit, bits)
+    red = (gateset.reduce_integer if args.integer else hardness.reduce)(circuit, bits)
     dee = red.dee
     matrix = dee.matrix
     alpha = red.alpha1_sq
@@ -305,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--fail-prob", type=float, default=0.05, help="failure probability budget")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--backend", choices=["analytic", "statevector"], default="analytic")
-    est.add_argument("--max-qubits", type=int, default=22, help="statevector qubit cap")
+    est.add_argument("--max-qubits", type=int, default=MAX_STATEVECTOR_QUBITS,
+                     help=f"statevector qubit cap, 1..{MAX_STATEVECTOR_QUBITS}")
     est.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     est.add_argument("--report", default=None, help="also write the report to this file")
     est.add_argument("--samples-csv", default=None, help="write per-shot a,z,zm rows")

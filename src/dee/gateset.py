@@ -42,7 +42,7 @@ from dee.circuits import (
     _perm_image,
 )
 from dee.sparse import DeeInstance, SparseSymmetricMatrix
-from dee.hardness import assemble_clock, moment_separation, predicted_diag
+from dee.hardness import HardnessInstance, assemble_clock, moment_separation, predicted_diag
 
 OBSERVABLE_SCALE = 2.0 * math.sqrt(2.0)
 
@@ -99,29 +99,26 @@ def transpose_element(e: UniformScaleGate) -> UniformScaleGate:
     return UniformScaleGate(kind=PERM_THEN_H, h_qubit=e.h_qubit, perm=e.perm)
 
 
-def element_int_row(e: UniformScaleGate, u: int, n: int) -> list[tuple[int, int]]:
+def element_int_row(e: UniformScaleGate, u, n: int):
     """Row u of sqrt(2) * (element matrix): exactly two entries, each +-1.
 
     The sqrt(2) H has rows (1, 1) and (1, -1); composing with a permutation
     only relabels which columns (for H P) or which row of H (for P H) is
-    read, so the values stay signed units.
+    read, so the values stay signed units.  For an int u the two
+    (column, value) pairs come in no set order; for an int array u the
+    result is the slot arrays (cols, vals) of shape (2, *u.shape).
     """
-    if not 0 <= u < (1 << n):
+    u = np.asarray(u)
+    if np.any((u < 0) | (u >= 1 << n)):
         raise ValueError(f"row index {u} out of range for {n} qubits")
-    q = e.h_qubit
-    bit = 1 << q
-    if e.kind == H_THEN_PERM:
-        # (P H)[u, :] = H[perm(u), :]
-        u = _perm_image(e.perm, u)
-    base = u & ~bit
-    top = base | bit
-    sign = -1 if (u >> q) & 1 else 1
-    if e.kind == PERM_THEN_H:
-        # (H P)[u, v] = H[u, perm(v)]: the two columns are perm-preimages
-        cols = [(_perm_image(e.perm, base), 1), (_perm_image(e.perm, top), sign)]
-    else:
-        cols = [(base, 1), (top, sign)]
-    return sorted(cols)
+    bit = 1 << e.h_qubit
+    # (P H)[u, :] = H[perm(u), :]
+    r = _perm_image(e.perm, u) if e.kind == H_THEN_PERM else u
+    cols = [r & ~bit, r | bit]
+    if e.kind == PERM_THEN_H:  # (H P)[u, v] = H[u, perm(v)]: the columns are perm-preimages
+        cols = [_perm_image(e.perm, c) for c in cols]
+    cols, vals = np.array(cols), np.array([np.ones_like(r), 1 - 2 * ((r >> e.h_qubit) & 1)])
+    return (cols, vals) if u.ndim else list(zip(cols.tolist(), vals.tolist()))
 
 
 def element_int_col(e: UniformScaleGate, u: int, n: int) -> list[tuple[int, int]]:
@@ -194,10 +191,6 @@ class IntegerObservable:
     matrix: SparseSymmetricMatrix
     scale: float
 
-    @property
-    def norm_bound(self) -> float:
-        return self.scale
-
 
 def build_integer_observable(
     elements: list[UniformScaleGate], n_qubits: int | None = None
@@ -217,24 +210,24 @@ def build_integer_observable(
     return IntegerObservable(matrix=matrix, scale=OBSERVABLE_SCALE)
 
 
-def even_m_thresholds(n_positions: int, m: int, scale: float = OBSERVABLE_SCALE) -> tuple[float, float]:
+def even_m_thresholds(n_positions: int, m: int) -> tuple[float, float]:
     """(g, eps) separating acceptance <= 1/3 from >= 2/3 at even clock length.
 
     The diagonal entry of the scaled observable is
     s^m ((1 - a) E0 + a E1) for acceptance probability a, linear in a, so
     the midpoint of its values at a = 1/3 and a = 2/3 is g and a quarter of
-    their gap is eps * b^m.  Degenerate moments (gap <= 1e-12) and scales
-    outside the float range are rejected.
+    their gap is eps * b^m, with s = b = OBSERVABLE_SCALE.  Degenerate
+    moments (gap <= 1e-12) and s^m outside the float range are rejected.
     """
     if n_positions % 2 != 0 or n_positions < 4:
         raise ValueError(f"even clock length >= 4 required, got {n_positions}")
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    if m * math.log2(scale) >= 1024:
+    if m * math.log2(OBSERVABLE_SCALE) >= 1024:
         raise ValueError(
-            f"scale^m = {scale}^{m} exceeds the float range; clock length must stay below 10"
+            f"scale^m = {OBSERVABLE_SCALE}^{m} exceeds the float range; clock length must stay below 10"
         )
-    s_m = scale**m
+    s_m = OBSERVABLE_SCALE**m
     e0, e1 = moment_separation(n_positions, m)
     if (e0 - e1) / 3.0 <= 1e-12:
         raise ValueError(f"moment gap E0-E1 = {e0 - e1} is degenerate at m={m}")
@@ -247,19 +240,7 @@ def even_m_thresholds(n_positions: int, m: int, scale: float = OBSERVABLE_SCALE)
     return g, eps
 
 
-@dataclass(frozen=True)
-class IntegerReduction:
-    """reduce_integer output: integer observable plus the decision instance."""
-
-    observable: IntegerObservable
-    dee: DeeInstance
-    elements: tuple[UniformScaleGate, ...]
-    j_state: int
-    alpha1_sq: float
-    n_positions: int
-
-
-def reduce_integer(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> IntegerReduction:
+def reduce_integer(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> HardnessInstance:
     """Full pipeline: mirror, rewrite to H/permutations, fuse, build, threshold.
 
     The circuit y must use only H, X, Z, CNOT, Toffoli.  The exact diagonal
@@ -276,26 +257,18 @@ def reduce_integer(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> Integer
     power = m_count**3
     g, eps = even_m_thresholds(m_count, power)
     observable = build_integer_observable(elements, n_qubits=y.n_qubits)
-    j_state = basis_index(bits)
     alpha1_sq = accept_probability(y, bits, y.n_qubits - len(bits))
     dee = DeeInstance(
         matrix=observable.matrix,
-        j=j_state,
+        j=basis_index(bits),
         m=power,
         g=g,
         epsilon=eps,
         b=OBSERVABLE_SCALE,
     )
-    return IntegerReduction(
-        observable=observable,
-        dee=dee,
-        elements=tuple(elements),
-        j_state=j_state,
-        alpha1_sq=alpha1_sq,
-        n_positions=m_count,
-    )
+    return HardnessInstance(dee=dee, alpha1_sq=alpha1_sq, n_positions=m_count)
 
 
-def predicted_integer_diag(n_positions: int, alpha1_sq: float, m: int, scale: float = OBSERVABLE_SCALE) -> float:
-    """Exact target value s^m ((1-a) E0 + a E1) for the emitted matrix."""
-    return scale**m * predicted_diag(n_positions, alpha1_sq, m)
+def predicted_integer_diag(n_positions: int, alpha1_sq: float, m: int) -> float:
+    """Exact target value s^m ((1-a) E0 + a E1) for the emitted matrix, s = OBSERVABLE_SCALE."""
+    return OBSERVABLE_SCALE**m * predicted_diag(n_positions, alpha1_sq, m)

@@ -39,7 +39,7 @@ from dee.circuits import (
     gate_unitary,
     _bits,
 )
-from dee.sparse import DeeInstance, SparseSymmetricMatrix, from_coordinate_arrays
+from dee.sparse import DeeInstance, SparseSymmetricMatrix, check_dim, from_coordinate_arrays
 from dee.spectral import (
     SpectralMeasure,
     eig_sym,
@@ -86,10 +86,9 @@ class ClockOperator:
 
 @dataclass(frozen=True)
 class HardnessInstance:
-    """Reduction output: the decision instance plus the quantities it encodes."""
+    """Output of both reductions: the decision instance plus what it encodes."""
 
     dee: DeeInstance
-    j_state: int
     alpha1_sq: float
     n_positions: int
 
@@ -118,25 +117,26 @@ def assemble_clock(
 ) -> SparseSymmetricMatrix:
     """weight * (W + W^T) for the clock W = sum_l |l+1 mod M><l| (x) B_l.
 
-    row_entries(B_l, u, n_qubits) lists the nonzeros (v, B_l[u, v]) of row u
-    of block l.  Each block row is read once: it lands at row (l+1)*2^n + u,
-    column l*2^n + v of W, and mirrored in W^T.  Entries that meet at one
-    position (only when M = 1) are summed, and zeros are dropped.
+    row_entries(B_l, u, n_qubits) with u = arange(2^n) gives the slot arrays
+    (cols, vals) of every row of block l at once.  Row u lands at row
+    (l+1)*2^n + u, column l*2^n + v of W, and mirrored in W^T.  Entries that
+    meet at one position (slots of one fused row, or W and W^T when M = 1)
+    are summed, and zeros are dropped.  A clock past MAX_DIM rows is refused
+    before anything is allocated.
     """
     m_pos = len(blocks)
+    check_dim(m_pos, n_qubits)
     nd = 1 << n_qubits
     dim = m_pos * nd
+    u = np.arange(nd)
     rows, cols, vals = [], [], []
     for l, block in enumerate(blocks):
-        dst = (l + 1) % m_pos * nd
-        for u in range(nd):
-            for v, val in row_entries(block, u, n_qubits):
-                rows.append(dst + u)
-                cols.append(l * nd + v)
-                vals.append(val)
-    w_keys = np.array(rows, dtype=np.int64) * dim + cols
-    wt_keys = np.array(cols, dtype=np.int64) * dim + rows
-    keys, where = np.unique(np.concatenate([w_keys, wt_keys]), return_inverse=True)
+        block_cols, block_vals = row_entries(block, u, n_qubits)
+        rows.append(np.broadcast_to((l + 1) % m_pos * nd + u, block_cols.shape).ravel())
+        cols.append((l * nd + block_cols).ravel())
+        vals.append(block_vals.ravel())
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    keys, where = np.unique(np.concatenate([rows * dim + cols, cols * dim + rows]), return_inverse=True)
     summed = np.zeros(keys.size)
     np.add.at(summed, where, weight * np.concatenate([vals, vals]))
     return from_coordinate_arrays(dim, keys // dim, keys % dim, summed, norm_bound)
@@ -245,17 +245,16 @@ def reduce(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> HardnessInstanc
     clock = build_clock_operator(mirror)
     matrix = build_observable(clock)
     m_pos = clock.n_positions
-    j_state = clock.flat_index(0, basis_index(bits))
     alpha1_sq = accept_probability(y, bits, y.n_qubits - len(bits))
     dee = DeeInstance(
         matrix=matrix,
-        j=j_state,
+        j=clock.flat_index(0, basis_index(bits)),
         m=m_pos**3,
         g=0.0,
         epsilon=1.0 / (4.0 * m_pos),
         b=1.0,
     )
-    return HardnessInstance(dee=dee, j_state=j_state, alpha1_sq=alpha1_sq, n_positions=m_pos)
+    return HardnessInstance(dee=dee, alpha1_sq=alpha1_sq, n_positions=m_pos)
 
 
 def predicted_diag(n_positions: int, alpha1_sq: float, m: int) -> float:

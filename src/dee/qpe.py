@@ -38,6 +38,12 @@ _TWO_PI = 2.0 * math.pi
 STATEVECTOR = "statevector"
 ANALYTIC = "analytic"
 
+# largest statevector qubit cap: past it the 2^p x N register array outgrows memory
+MAX_STATEVECTOR_QUBITS = 22
+
+# largest N the sampler's dense eigensolve accepts (an N x N array of floats)
+MAX_DENSE_DIM = 4096
+
 
 @dataclass(frozen=True)
 class QpeParams:
@@ -101,16 +107,16 @@ def choose_params(m: int, epsilon: float, fail_prob: float) -> QpeParams:
 @dataclass(frozen=True)
 class EstimatorBackend:
     variant: str
-    max_qubits: int = 22
+    max_qubits: int = MAX_STATEVECTOR_QUBITS
 
     def __post_init__(self) -> None:
         if self.variant not in (STATEVECTOR, ANALYTIC):
             raise ValueError(f"unknown backend variant {self.variant!r}")
-        if self.max_qubits < 1:
-            raise ValueError("max_qubits must be >= 1")
+        if not 1 <= self.max_qubits <= MAX_STATEVECTOR_QUBITS:
+            raise ValueError(f"max_qubits must lie in 1..{MAX_STATEVECTOR_QUBITS}, got {self.max_qubits}")
 
 
-def statevector_backend(max_qubits: int = 22) -> EstimatorBackend:
+def statevector_backend(max_qubits: int = MAX_STATEVECTOR_QUBITS) -> EstimatorBackend:
     return EstimatorBackend(variant=STATEVECTOR, max_qubits=max_qubits)
 
 
@@ -196,7 +202,7 @@ def _check_statevector_budget(dim: int, p: int, backend: EstimatorBackend) -> No
 
 
 def qpe_statevector(
-    a_normalized: np.ndarray, psi: np.ndarray, p: int, max_qubits: int = 22
+    a_normalized: np.ndarray, psi: np.ndarray, p: int, max_qubits: int = MAX_STATEVECTOR_QUBITS
 ) -> np.ndarray:
     """Outcome distribution by simulating the phase-estimation circuit.
 
@@ -226,9 +232,7 @@ def qpe_statevector(
     return np.sum(np.abs(state) ** 2, axis=1)
 
 
-def qpe_distribution_unitary(
-    u: np.ndarray, psi: np.ndarray, p: int, max_qubits: int = 22
-) -> np.ndarray:
+def qpe_distribution_unitary(u: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
     """Same circuit for an arbitrary unitary, powers by repeated squaring.
 
     Used to measure how a perturbed exp(iA) call shifts the outcome
@@ -241,7 +245,7 @@ def qpe_distribution_unitary(
         raise ValueError(f"unitary must be square, got {u.shape}")
     if not np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-9):
         raise ValueError("matrix is not unitary within 1e-9")
-    _check_statevector_budget(dim, p, statevector_backend(max_qubits))
+    _check_statevector_budget(dim, p, statevector_backend())
     psi = np.asarray(psi, dtype=np.complex128)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
@@ -343,7 +347,8 @@ def sample_measurements(
     stream spawned from the seed, so the outcome array depends only on
     (seed, k): a block's outcomes do not depend on k, and sampling runs on
     one thread whatever `workers` is (still validated, for the CLI).
-    Registers wider than MAX_SAMPLED_P bits are refused before any draw.
+    Registers wider than MAX_SAMPLED_P bits and matrices past MAX_DENSE_DIM
+    rows are refused before any draw or dense array.
     """
     if backend is None:
         backend = analytic_backend()
@@ -354,6 +359,8 @@ def sample_measurements(
             f"register width p={params.p} exceeds the sampler limit p <= {MAX_SAMPLED_P} "
             "(outcomes must fit int64); use a larger epsilon or a smaller m"
         )
+    if matrix.dim > MAX_DENSE_DIM:
+        raise ValueError(f"dimension {matrix.dim} exceeds the sampler's dense limit N <= {MAX_DENSE_DIM}")
     dense = matrix.to_dense() / b
     if backend.variant == STATEVECTOR:
         _check_statevector_budget(matrix.dim, params.p, backend)

@@ -19,6 +19,10 @@ import numpy as np
 
 Entry = tuple[int, float]
 
+# most rows a matrix or a clock may have: a header or qubit count past it is
+# refused before the slot arrays (and N Python rows of the Gershgorin sum) exist
+MAX_DIM = 1 << 20
+
 
 class Side(enum.Enum):
     """Which side of the threshold g a decision lands on."""
@@ -93,6 +97,13 @@ class SparseSymmetricMatrix:
         return int(np.count_nonzero(upper & (self.vals != 0.0)))
 
 
+def check_dim(rows: int, qubits: int = 0) -> None:
+    """Refuse a dimension rows * 2^qubits above MAX_DIM, without computing it when huge."""
+    if qubits > MAX_DIM.bit_length() or rows << qubits > MAX_DIM:
+        size = f"{rows} * 2^{qubits}" if qubits else str(rows)
+        raise ValueError(f"dimension {size} exceeds the limit N <= {MAX_DIM}")
+
+
 def from_coordinate_arrays(
     dim: int, rows, cols, vals, norm_bound: float | None = None
 ) -> SparseSymmetricMatrix:
@@ -105,6 +116,7 @@ def from_coordinate_arrays(
     """
     if dim < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {dim}")
+    check_dim(dim)
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     # each check names its first offending entry: the loops run at most once
@@ -324,19 +336,16 @@ def parse_matrix(text: str, norm_bound: float | None = None) -> SparseSymmetricM
 
 def format_matrix(a: SparseSymmetricMatrix, integer_values: bool = False) -> str:
     i, t = np.nonzero(a.vals)  # row-major, so by (row, column)
+    upper = i <= a.cols[i, t]
+    i, t = i[upper], t[upper]
     j, v = a.cols[i, t], a.vals[i, t]
-    upper = i <= j
-    entries = list(zip(i[upper].tolist(), j[upper].tolist(), v[upper].tolist()))
-    lines = [f"{a.dim} {len(entries)}"]
-    for i, j, v in entries:
-        if integer_values:
-            iv = round(v)
-            if iv != v:
-                raise ValueError(f"entry ({i}, {j}) = {v} is not an integer")
-            lines.append(f"{i} {j} {iv}")
-        else:
-            lines.append(f"{i} {j} {v!r}")
-    return "\n".join(lines) + "\n"
+    values = v.tolist()
+    if integer_values:
+        for k in np.flatnonzero(np.round(v) != v)[:1]:
+            raise ValueError(f"entry ({i[k]}, {j[k]}) = {values[k]} is not an integer")
+        values = map(int, values)
+    lines = map("{} {} {!r}".format, i.tolist(), j.tolist(), values)
+    return "\n".join([f"{a.dim} {i.size}", *lines]) + "\n"
 
 
 def read_matrix_file(path: str, norm_bound: float | None = None) -> SparseSymmetricMatrix:

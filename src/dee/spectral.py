@@ -17,6 +17,9 @@ import numpy as np
 # within 1e-9 of 1 at desk-scale dimensions
 WEIGHT_FLOOR = 1e-12
 
+# eigenvalues closer than this times max|lambda| merge into one atom
+MERGE_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -84,24 +87,19 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
-def induced_measure(
-    decomp: EigenDecomposition,
-    psi: np.ndarray,
-    merge_tol: float | None = None,
-) -> SpectralMeasure:
+def induced_measure(decomp: EigenDecomposition, psi: np.ndarray) -> SpectralMeasure:
     """Spectral measure of A in state psi: weight |<v_i, psi>|^2 at lambda_i.
 
-    Nearby eigenvalues (gap <= merge_tol, default 1e-8 * max|lambda|) merge
-    into one atom at their weight-averaged position, so numerically split
-    degeneracies come back as a single atom.
+    Nearby eigenvalues (gap <= MERGE_RTOL * max|lambda|) merge into one atom
+    at their weight-averaged position, so numerically split degeneracies
+    come back as a single atom.
     """
     psi = np.asarray(psi)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm is {norm}, not 1 within 1e-9")
     w = decomp.eigenvalues
-    if merge_tol is None:
-        merge_tol = 1e-8 * float(np.max(np.abs(w))) if w.size else 0.0
+    merge_tol = MERGE_RTOL * float(np.max(np.abs(w))) if w.size else 0.0
     weights = np.abs(decomp.eigenvectors.conj().T @ psi) ** 2
     atoms: list[tuple[float, float]] = []
     i = 0

@@ -83,15 +83,16 @@ def _normalized_measure(
 
 # (m, eps) schedule keeping p at or below 20 so full 2^p vectors stay cheap
 _BUDGETS = [(1, 1.0), (2, 0.5), (4, 0.5), (2, 0.25)]
+_FAIL_PROB = 0.05
 
 
-def phase_mass_check(n_matrices: int = 20, seed: int = 20260819, fail_prob: float = 0.05) -> BoundCheck:
+def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
     """Worst per-atom (1 - mass within eta) against theta."""
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0  # (1 - mass) / theta, so mixed budgets share one row
     for t in range(n_matrices):
         m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, fail_prob)
+        params = choose_params(m, eps, _FAIL_PROB)
         big_t = 1 << params.p
         matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
         measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
@@ -107,13 +108,13 @@ def phase_mass_check(n_matrices: int = 20, seed: int = 20260819, fail_prob: floa
     return _check("phase mass outside eta vs theta (ratio)", 1.0, worst_ratio)
 
 
-def atom_moment_check(n_matrices: int = 20, seed: int = 20260820, fail_prob: float = 0.05) -> BoundCheck:
+def atom_moment_check(n_matrices: int = 20, seed: int = 20260820) -> BoundCheck:
     """Worst per-atom |E[Z^m] - lambda^m| against 2 theta + 2 pi m eta."""
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for t in range(n_matrices):
         m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, fail_prob)
+        params = choose_params(m, eps, _FAIL_PROB)
         bound = 2.0 * params.theta + _TWO_PI * m * params.eta
         matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
         measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
@@ -125,13 +126,13 @@ def atom_moment_check(n_matrices: int = 20, seed: int = 20260820, fail_prob: flo
     return _check("per-atom |E[Z^m] - lambda^m| vs 2 theta + 2 pi m eta (ratio)", 1.0, worst_ratio)
 
 
-def state_moment_check(n_matrices: int = 20, seed: int = 20260821, fail_prob: float = 0.05) -> BoundCheck:
+def state_moment_check(n_matrices: int = 20, seed: int = 20260821) -> BoundCheck:
     """Worst |E[Z^m] - (A^m)_jj / b^m| against eps/3 over full mixtures."""
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     for t in range(n_matrices):
         m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, fail_prob)
+        params = choose_params(m, eps, _FAIL_PROB)
         matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
         j = int(rng.integers(0, matrix.dim))
         measure, b = _normalized_measure(matrix, j)
@@ -169,19 +170,15 @@ def sampling_check(trials: int = 50, seed: int = 20260822) -> BoundCheck:
     return _check("sampled |mean - E[Z^m]| vs eps/3 (ratio)", 1.0, worst_ratio)
 
 
-def perturbation_check(
-    deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-    n_matrices: int = 3,
-    p: int = 8,
-    m: int = 3,
-    seed: int = 20260823,
-) -> list[BoundCheck]:
-    """Moment shift under a exp(iA) call of accuracy delta vs 2^(p+2) delta."""
+def perturbation_check(seed: int = 20260823) -> list[BoundCheck]:
+    """Moment shift under a exp(iA) call of accuracy delta vs 2^(p+2) delta,
+    for three deltas on three random matrices each, at p = 8 and m = 3."""
     rng = np.random.default_rng(seed)
+    p, m = 8, 3
     out = []
-    for delta in deltas:
+    for delta in (1e-2, 1e-3, 1e-4):
         worst = 0.0
-        for t in range(n_matrices):
+        for t in range(3):
             matrix = random_sparse_symmetric(rng, int(rng.integers(4, 9)))
             b = matrix.norm_bound
             dense = matrix.to_dense() / b

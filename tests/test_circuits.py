@@ -237,6 +237,14 @@ class TestRowColumnOracles:
                         u[row, col], abs=1e-12
                     )
 
+    def test_fused_rows_are_merged(self):
+        # H H = I: the two terms of each column meet, and one cancels to 0
+        for u in range(4):
+            entries = gate_row_entries(fused(h(0), h(0)), u, 2)
+            assert len(entries) == 1
+            assert entries[0][0] == u
+            assert entries[0][1] == pytest.approx(1.0, abs=1e-15)
+
     def test_permutation_rows_have_one_entry(self):
         for g in (x(0), cnot(0, 1), toffoli(0, 1, 2)):
             for u in range(8):

@@ -180,6 +180,47 @@ class TestEstimate:
         assert calls == []
 
 
+class TestSizeLimits:
+    """Oversized inputs exit 1 naming the limit before anything that size is
+    allocated; the limits are lowered so the inputs stay small."""
+
+    def test_dense_sampler_limit(self, triangle_file, capsys, monkeypatch):
+        monkeypatch.setattr("dee.qpe.MAX_DENSE_DIM", 2)
+        monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
+        rc = main(["estimate", "--matrix", triangle_file, "--j", "0", "--m", "2", "--epsilon", "0.5"])
+        assert rc == 1
+        assert "error: dimension 3 exceeds the sampler's dense limit N <= 2" in capsys.readouterr().err
+
+    def test_matrix_header_limit(self, triangle_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dee.sparse.MAX_DIM", 2)
+        graph = tmp_path / "triangle.graph"
+        graph.write_text(TRIANGLE_GRAPH)
+        for argv in (["exact", "--matrix", triangle_file], ["paths", "--graph", str(graph)]):
+            assert main(argv + ["--j", "0", "--m", "2"]) == 1
+            assert "error: dimension 3 exceeds the limit N <= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("qubits, size", [(2, "1 * 2^2"), (5, "1 * 2^5")])
+    def test_clock_limit(self, qubits, size, tmp_path, capsys, monkeypatch):
+        # 2^5 rows are refused from the qubit count alone, without the shift
+        monkeypatch.setattr("dee.sparse.MAX_DIM", 3)
+        circ = tmp_path / "empty.circ"
+        circ.write_text(f"QUBITS {qubits}\n")
+        rc = main(["reduce", "--circuit", str(circ), "--input", "0",
+                   "--out-matrix", str(tmp_path / "o.mat"), "--out-meta", str(tmp_path / "o.meta")])
+        assert rc == 1
+        assert f"error: dimension {size} exceeds the limit N <= 3" in capsys.readouterr().err
+        assert not (tmp_path / "o.mat").exists()
+
+    def test_qubit_cap_limit(self, triangle_file, capsys, monkeypatch):
+        monkeypatch.setattr("dee.qpe.MAX_STATEVECTOR_QUBITS", 4)
+        argv = ["estimate", "--matrix", triangle_file, "--j", "0", "--m", "2",
+                "--epsilon", "0.25", "--backend", "statevector", "--max-qubits"]
+        assert main(argv + ["5"]) == 1
+        assert "error: max_qubits must lie in 1..4, got 5" in capsys.readouterr().err
+        assert main(argv + ["4"]) == 1  # a cap within range reaches the budget check
+        assert "over the cap 4" in capsys.readouterr().err
+
+
 class TestExact:
     def test_diagonal_value(self, triangle_file, capsys):
         rc = main(["exact", "--matrix", triangle_file, "--j", "0", "--m", "3"])
@@ -333,6 +374,8 @@ class TestGolden:
         pytest.param(TOFFOLI_CIRCUIT, False, "317dfb1a3cb7b1ad", id="toffoli"),
         pytest.param(TOFFOLI_CIRCUIT, True, "976a5d5c91665bfb", id="toffoli-integer"),
         pytest.param(ROT_CIRCUIT, False, "a69b8fca6350307d", id="rot"),
+        # the M = 1 clock, the only one where entries of W and W^T meet
+        pytest.param("QUBITS 3\n", False, "acdb4c8adc1bd1aa", id="one-position"),
     ])
     def test_reduce(self, circuit, integer, want, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dee.circuits import cnot, h, rot, toffoli, x, z
+from dee.circuits import GateKind, cnot, fused, gate_row_entries, gate_unitary, h, rot, toffoli, x, z
+from dee.gateset import H_THEN_PERM, LONE_H, PERM_THEN_H, UniformScaleGate, element_int_row
 from dee.hardness import ClockOperator, build_observable, clock_unitary_dense
 from dee.sparse import format_matrix, from_coordinate_list, parse_matrix
 
@@ -108,3 +109,119 @@ def test_build_observable_matches_dense_clock(clock):
     assert a.max_row_nnz <= 4
     assert a.norm_bound == 1.0
     assert all(v != 0.0 for i in range(a.dim) for _, v in a.row(i))
+
+
+def reference_perm_image(g, v):
+    """One row at a time with branches, as the row oracles were first written."""
+    if g.kind is GateKind.X:
+        return v ^ (1 << g.qubits[0])
+    if g.kind is GateKind.CNOT:
+        c, t = g.qubits
+        return v ^ (1 << t) if (v >> c) & 1 else v
+    c1, c2, t = g.qubits
+    return v ^ (1 << t) if ((v >> c1) & 1) and ((v >> c2) & 1) else v
+
+
+def reference_row_entries(g, u, n):
+    """Row u by per-row branches; fused rows merge through a dict after each factor."""
+    q = g.qubits[0]
+    base, top = u & ~(1 << q), u | (1 << q)
+    if g.kind in (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI):
+        return [(reference_perm_image(g, u), 1.0)]
+    if g.kind is GateKind.Z:
+        return [(u, -1.0 if (u >> q) & 1 else 1.0)]
+    if g.kind is GateKind.H:
+        inv = 1.0 / math.sqrt(2.0)
+        return [(base, inv), (top, -inv)] if (u >> q) & 1 else [(base, inv), (top, inv)]
+    if g.kind is GateKind.ROT:
+        c, s = math.cos(g.angle), math.sin(g.angle)
+        return [(base, s), (top, c)] if (u >> q) & 1 else [(base, c), (top, -s)]
+    acc = {u: 1.0}
+    for part in reversed(g.parts):
+        nxt = {}
+        for w, coeff in acc.items():
+            for v, val in reference_row_entries(part, w, n):
+                nxt[v] = nxt.get(v, 0.0) + coeff * val
+        acc = {v: val for v, val in nxt.items() if val != 0.0}
+    return sorted(acc.items())
+
+
+def reference_element_row(e, u):
+    """Row u of sqrt(2) * element by per-row branches, sorted."""
+    bit = 1 << e.h_qubit
+    if e.kind == H_THEN_PERM:
+        u = reference_perm_image(e.perm, u)
+    base, top = u & ~bit, u | bit
+    sign = -1 if (u >> e.h_qubit) & 1 else 1
+    if e.kind == PERM_THEN_H:
+        return sorted([(reference_perm_image(e.perm, base), 1), (reference_perm_image(e.perm, top), sign)])
+    return [(base, 1), (top, sign)]
+
+
+def merged_rows(cols, vals):
+    """Per-row {column: value} of slot arrays, slots summed by column, zeros dropped."""
+    rows = []
+    for u in range(cols.shape[1]):
+        row = {}
+        for c, v in zip(cols[:, u].tolist(), vals[:, u].tolist()):
+            row[c] = row.get(c, -0.0) + v
+        rows.append({c: v for c, v in row.items() if v != 0.0})
+    return rows
+
+
+@st.composite
+def gates(draw, n, depth=0):
+    """One gate on n qubits: any kind, ROT at any angle, fused nested twice."""
+    qs = draw(st.permutations(range(n)))
+    kinds = ["H", "X", "Z", "ROT"] + ["CNOT"] * (n >= 2) + ["TOFF"] * (n >= 3) + ["FUSED"] * (depth < 2)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "FUSED":
+        return fused(*draw(st.lists(gates(n, depth + 1), min_size=1, max_size=4)))
+    if kind == "ROT":
+        return rot(qs[0], draw(st.sampled_from([0.0, math.pi]) | st.floats(-7.0, 7.0)))
+    if kind == "CNOT":
+        return cnot(qs[0], qs[1])
+    if kind == "TOFF":
+        return toffoli(qs[0], qs[1], qs[2])
+    return {"H": h, "X": x, "Z": z}[kind](qs[0])
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), gates(n))))
+def test_gate_rows_array_call_matches_row_calls(case):
+    """Per-row calls equal the branchy per-row reference exactly, zero signs
+    included; the array call matches them slot for slot after merging."""
+    n, g = case
+    cols, vals = gate_row_entries(g, np.arange(2**n), n)
+    assert cols.shape == vals.shape and cols.shape[1] == 2**n
+    dense = gate_unitary(g, n)
+    for u, row in enumerate(merged_rows(cols, vals)):
+        one = gate_row_entries(g, u, n)
+        want = reference_row_entries(g, u, n)
+        assert one == want
+        assert [math.copysign(1.0, v) for _, v in one] == [math.copysign(1.0, v) for _, v in want]
+        assert row == {c: v for c, v in one if v != 0.0}
+        assert np.allclose([row.get(c, 0.0) for c in range(2**n)], dense[u], rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def elements(draw):
+    """(n, element) over all three element kinds; the H may share a qubit with the permutation."""
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from([LONE_H, PERM_THEN_H, H_THEN_PERM]))
+    perm, arity = draw(st.sampled_from([(x, 1), (cnot, 2), (toffoli, 3)]))
+    qs = draw(st.permutations(range(n)))[:arity]
+    h_qubit = draw(st.integers(0, n - 1))
+    return n, UniformScaleGate(kind=kind, h_qubit=h_qubit, perm=None if kind == LONE_H else perm(*qs))
+
+
+@SETTINGS
+@given(elements())
+def test_element_rows_array_call_matches_row_calls(case):
+    n, e = case
+    cols, vals = element_int_row(e, np.arange(2**n), n)
+    assert cols.shape == vals.shape == (2, 2**n)
+    for u in range(2**n):
+        one = element_int_row(e, u, n)
+        assert sorted(one) == reference_element_row(e, u)
+        assert sorted(zip(cols[:, u].tolist(), vals[:, u].tolist())) == sorted(one)
