@@ -383,7 +383,3 @@ def read_circuit_file(path: str) -> Circuit:
     with open(path, encoding="utf-8") as fh:
         return parse_circuit(fh.read())
 
-
-def write_circuit_file(path: str, c: Circuit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_circuit(c))

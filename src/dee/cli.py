@@ -76,7 +76,6 @@ def _backend_from_args(args) -> object:
 
 
 def cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
     matrix = read_matrix_file(args.matrix, norm_bound=args.b)
     b = matrix.norm_bound
     params = choose_params(args.m, args.epsilon, args.fail_prob)
@@ -103,16 +102,7 @@ def cmd_estimate(args) -> int:
         instance = DeeInstance(
             matrix=matrix, j=args.j, m=args.m, g=args.g, epsilon=args.epsilon, b=b
         )
-        outcomes = sample_measurements(
-            matrix,
-            b,
-            _basis_vector(matrix.dim, args.j),
-            params,
-            backend,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        estimate = estimate_from_outcomes(outcomes, params, b)
+        outcomes, estimate = _sample_diag(instance, params, backend, args)
         decision = decide(estimate, instance.g)
         if args.samples_csv:
             z = outcomes_to_z(outcomes, params.p)
@@ -152,14 +142,17 @@ def cmd_estimate(args) -> int:
     for path, text in files:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0
 
 
-def _basis_vector(dim: int, j: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[j] = 1.0
-    return v
+def _sample_diag(instance: DeeInstance, params, backend, args) -> tuple[np.ndarray, float]:
+    """Outcomes for psi = e_j and the estimate of (A^m)_jj they give."""
+    psi = np.zeros(instance.matrix.dim)
+    psi[instance.j] = 1.0
+    outcomes = sample_measurements(
+        instance.matrix, instance.b, psi, params, backend, seed=args.seed, workers=args.workers
+    )
+    return outcomes, estimate_from_outcomes(outcomes, params, instance.b)
 
 
 def cmd_exact(args) -> int:
@@ -182,7 +175,6 @@ def cmd_exact(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
     circuit = read_circuit_file(args.circuit)
     bits = args.input
     red = (gateset.reduce_integer if args.integer else hardness.reduce)(circuit, bits)
@@ -228,12 +220,10 @@ def cmd_reduce(args) -> int:
     with open(args.out_meta, "w", encoding="utf-8") as fh:
         fh.write(meta_text)
     sys.stdout.write(meta_text)
-    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0
 
 
 def cmd_verify_bounds(args) -> int:
-    t0 = time.perf_counter()
     checks = run_bound_checks(n_matrices=args.matrices, trials=args.trials, seed=args.seed)
     all_passed = True
     for c in checks:
@@ -241,28 +231,19 @@ def cmd_verify_bounds(args) -> int:
         sys.stdout.write(f"{c.name}: bound={c.bound!r} measured={c.measured!r} {status}\n")
         all_passed = all_passed and c.passed
     sys.stdout.write(f"verify-bounds: {'PASS' if all_passed else 'FAIL'}\n")
-    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0 if all_passed else 2
 
 
 def cmd_paths(args) -> int:
-    t0 = time.perf_counter()
     n, edges = read_graph_file(args.graph)
     matrix = adjacency_from_edges(n, edges)
     b = matrix.norm_bound
     tol = args.epsilon * power_scale(b, args.m)
-    exact = power_diag_exact(matrix, args.j, args.m)
+    # the instance checks --j and the sampler refuses oversized runs before the oracle's m matvecs
+    instance = DeeInstance(matrix=matrix, j=args.j, m=args.m, g=0.0, epsilon=args.epsilon, b=b)
     params = choose_params(args.m, args.epsilon, args.fail_prob)
-    outcomes = sample_measurements(
-        matrix,
-        b,
-        _basis_vector(matrix.dim, args.j),
-        params,
-        analytic_backend(),
-        seed=args.seed,
-        workers=args.workers,
-    )
-    estimate = estimate_from_outcomes(outcomes, params, b)
+    _, estimate = _sample_diag(instance, params, analytic_backend(), args)
+    exact = power_diag_exact(matrix, args.j, args.m)
     pairs = [
         ("command", "paths"),
         ("graph", args.graph),
@@ -279,7 +260,6 @@ def cmd_paths(args) -> int:
         ("within_tolerance", abs(estimate - exact) <= tol),
     ]
     _emit(pairs, args.report)
-    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=sys.stderr)
     return 0
 
 
@@ -352,11 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"wall_time_s: {time.perf_counter() - t0:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ class UniformScaleGate:
 
 
 def transpose_element(e: UniformScaleGate) -> UniformScaleGate:
-    """Transpose: (H P)^T = P H and (P H)^T = H P since both factors are symmetric."""
+    """Transpose: (H P)^T = P H and (P H)^T = H P because both factors are symmetric."""
     if e.kind == LONE_H:
         return e
     if e.kind == PERM_THEN_H:

@@ -143,7 +143,7 @@ def assemble_clock(
 
 
 def build_observable(clock: ClockOperator) -> SparseSymmetricMatrix:
-    """A = (W + W^T)/2 from the gates' row oracles; norm bound 1 since W is unitary.
+    """A = (W + W^T)/2 from the gates' row oracles; norm bound 1 because W is unitary.
 
     Block (l, l-1) of A is U_{l-1}/2 and block (l, l+1) is U_l^T/2, so row
     l*2^n + u holds row u of gate l-1 and column u of gate l.  Each gate

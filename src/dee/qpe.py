@@ -18,7 +18,10 @@ an analytic sampler that draws from the exact outcome distribution
     Pr(a | phase phi) = sin^2(pi T d) / (T^2 sin^2(pi d)),  d = phi - a/T
 
 per eigen-atom by vectorised rejection, which needs no 2^p-sized vector and
-runs at any register width up to p = 62 (outcomes are int64).  Shots are
+runs at any register width up to p = 62 (outcomes are int64).  `outcome_law`
+is the one closed form of that law: the full distribution tabulates it, the
+sampler's accept test is it with the division multiplied out, and verify's
+phase-mass check sums it over a window of offsets.  Shots are
 drawn in blocks of 4,096, each block from its own Philox stream spawned from
 the seed, so the outcomes depend only on the seed and k.
 """
@@ -125,27 +128,17 @@ def analytic_backend() -> EstimatorBackend:
 
 
 def outcome_to_z(a: int, p: int) -> float:
-    """Map a p-bit outcome to an eigenvalue estimate in [-1, 1].
+    """`outcomes_to_z` of a single outcome."""
+    return float(outcomes_to_z(np.array([a]), p)[0])
+
+
+def outcomes_to_z(a_values: np.ndarray, p: int) -> np.ndarray:
+    """Map p-bit outcomes to eigenvalue estimates in [-1, 1].
 
     Outcomes near 0 (resp. 2^p) decode small positive (resp. negative)
     eigenvalues as 2 pi a / 2^p shifted into (-pi, pi]; the dead zones where
     no eigenvalue of a normalized observable can land clip to +-1.
     """
-    t = 1 << p
-    if not 0 <= a < t:
-        raise ValueError(f"outcome {a} out of range for p={p}")
-    cut = t / _TWO_PI
-    if a < cut:
-        return _TWO_PI * a / t
-    if a < t / 2:
-        return 1.0
-    if a < t - cut:
-        return -1.0
-    return _TWO_PI * (a - t) / t
-
-
-def outcomes_to_z(a_values: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized outcome_to_z."""
     t = float(1 << p)
     a = np.asarray(a_values, dtype=np.float64)
     if a.size and (a.min() < 0 or a.max() >= t):
@@ -158,37 +151,53 @@ def outcomes_to_z(a_values: np.ndarray, p: int) -> np.ndarray:
     )
 
 
-def eigenphase(lam: float) -> float:
-    """Phase phi in [0, 1] with exp(i * lam) = exp(2 pi i phi)."""
+def eigenphase(lam: float | np.ndarray) -> float | np.ndarray:
+    """Phase phi in [0, 1] with exp(i * lam) = exp(2 pi i phi), elementwise for arrays."""
     return (lam % _TWO_PI) / _TWO_PI
+
+
+def _eigenphases(measure: SpectralMeasure) -> np.ndarray:
+    """The eigenphase of every atom, refusing eigenvalues outside [-1, 1]."""
+    lam = measure.values
+    for bad in lam[np.abs(lam) > 1.0 + 1e-9][:1]:
+        raise ValueError(f"eigenvalue {bad} outside [-1, 1]; b must dominate the spectral norm")
+    return eigenphase(lam)
+
+
+def outcome_law(frac: float | np.ndarray, offsets: np.ndarray, t: int) -> np.ndarray:
+    """Pr(round(phi*T) + j | phi) for offsets j, with frac = phi*T - round(phi*T).
+
+    The phase-estimation law sin^2(pi T d) / (T^2 sin^2(pi d)) at d = phi - a/T
+    (Cleve, Ekert, Macchiavello and Mosca 1998), written at the grid offset
+    j - frac: sin^2(pi frac) / (T sin(pi (j - frac) / T))^2, and 1 where the
+    denominator is 0.  Offsets must lie in [-T/2, T/2]: float sin(k pi) is
+    not 0, so an offset of +-T would not give the exact point mass.  frac and
+    offsets broadcast.
+    """
+    den = t * np.sin(np.pi * (offsets - frac) / t)
+    den *= den
+    return np.divide(np.sin(np.pi * frac) ** 2, den, out=np.ones(den.shape), where=den != 0.0)
 
 
 def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
     """Exact outcome distribution over all 2^p outcomes for a spectral measure.
 
-    Materializes the full vector, so p is capped at 24; the rejection sampler
-    covers larger registers.
+    Tabulates `outcome_law` once per atom over every offset in [-T/2, T/2),
+    so p is capped at 20 (8 MB per vector); the rejection sampler covers
+    larger registers.
     """
     if p < 1:
         raise ValueError(f"register width p must be >= 1, got {p}")
-    if p > 24:
+    if p > 20:
         raise ValueError(f"p={p} needs a 2^{p}-entry vector; sample instead")
-    total = math.fsum(w for _, w in measure.atoms)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"measure weights sum to {total}; normalize first")
     t = 1 << p
+    half = t // 2
+    offsets = np.arange(-half, half)
     out = np.zeros(t)
-    chunk = 1 << 20
-    for lam, w in measure.atoms:
-        if abs(lam) > 1.0 + 1e-9:
-            raise ValueError(f"eigenvalue {lam} outside [-1, 1]; normalize by the norm bound")
-        phi = eigenphase(lam)
-        for start in range(0, t, chunk):
-            a = np.arange(start, min(start + chunk, t), dtype=np.float64)
-            delta = phi - a / t
-            frac = delta - np.round(delta)
-            ratio = np.sinc(t * frac) / np.sinc(frac)
-            out[start : start + a.size] += w * ratio**2
+    for phi, w in zip(_eigenphases(measure), measure.weights):
+        centre = int(np.rint(phi * t))
+        # offset j is outcome (centre + j) mod T, at index j + T/2
+        out += np.roll(w * outcome_law(phi * t - centre, offsets, t), centre - half)
     return out
 
 
@@ -309,8 +318,9 @@ def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.n
     x0 = phases * float(t)
     centre = np.rint(x0)
     frac = x0 - centre
-    # Pr(a* + j) = sin^2(pi d) / (T sin(pi d / T))^2 at grid offset d = j - frac,
-    # and sin^2(pi d) = sin^2(pi frac) for integer j, exact at any |j|
+    # accept iff w * e(j) <= outcome_law(frac, j, T), with the law's division
+    # multiplied out and its numerator computed once per phase; d = 0 gives
+    # den = 0 and always accepts
     num = np.sin(np.pi * frac) ** 2
     offsets = np.empty(len(phases), dtype=np.int64)
     pending = np.arange(len(phases))
@@ -320,7 +330,6 @@ def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.n
         tail = 1.0 + np.floor(1.0 / (1.0 - v))
         j = np.where(pick < 3.0, np.floor(pick) - 1.0, np.where(pick < 3.25, tail, -tail))
         den = t * np.sin(np.pi * (j - frac[pending]) / t)
-        # w < Pr/e(j) without dividing; d = 0 gives den = 0 and always accepts
         keep = (j > -t / 2) & (j <= t / 2) & (w * _envelope(j) * den * den <= num[pending])
         offsets[pending[keep]] = j[keep]
         pending = pending[~keep]
@@ -371,13 +380,8 @@ def sample_measurements(
 
     else:
         measure = induced_measure(eig_sym(dense), psi)
-        for lam, _ in measure.atoms:
-            if abs(lam) > 1.0 + 1e-9:
-                raise ValueError(
-                    f"eigenvalue {lam} outside [-1, 1]; b must dominate the spectral norm"
-                )
-        phases = np.array([eigenphase(lam) for lam, _ in measure.atoms])
-        cdf = np.cumsum([w for _, w in measure.atoms])
+        phases = _eigenphases(measure)
+        cdf = np.cumsum(measure.weights)
 
         def draw_block(gen: np.random.Generator, n: int) -> np.ndarray:
             return _draw_outcomes(phases[_pick(cdf, n, gen)], params.p, gen)

@@ -142,7 +142,7 @@ def from_coordinate_arrays(
     slot_cols[rows, slot] = cols
     slot_vals[rows, slot] = vals
     if norm_bound is None:  # Gershgorin; any positive bound serves the zero matrix
-        norm_bound = max(math.fsum(row) for row in np.abs(slot_vals).tolist()) or 1.0
+        norm_bound = gershgorin_bound(SparseSymmetricMatrix(dim, slot_cols, slot_vals, 1.0)) or 1.0
     return SparseSymmetricMatrix(dim=dim, cols=slot_cols, vals=slot_vals, norm_bound=norm_bound)
 
 

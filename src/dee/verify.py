@@ -29,6 +29,7 @@ from dee.qpe import (
     eigenphase,
     estimate_from_outcomes,
     moment_of_distribution,
+    outcome_law,
     qpe_distribution_analytic,
     qpe_distribution_unitary,
     perturbed_unitary,
@@ -87,24 +88,27 @@ _FAIL_PROB = 0.05
 
 
 def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
-    """Worst per-atom (1 - mass within eta) against theta."""
+    """Worst per-atom (1 - mass within eta) against theta.
+
+    An outcome round(phi*T) + j lies within circular distance eta of phase
+    phi iff |j - frac| < eta*T, so each atom's mass is `outcome_law` summed
+    over the offsets |j| <= ceil(eta*T); no 2^p vector is built.
+    """
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0  # (1 - mass) / theta, so mixed budgets share one row
     for t in range(n_matrices):
         m, eps = _BUDGETS[t % len(_BUDGETS)]
         params = choose_params(m, eps, _FAIL_PROB)
         big_t = 1 << params.p
+        reach = params.eta * big_t
         matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
         measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
-        a_over_t = np.arange(big_t, dtype=np.float64) / big_t
-        for lam, _w in measure.atoms:
-            phi = eigenphase(lam)
-            single = SpectralMeasure(atoms=((lam, 1.0),))
-            dist = qpe_distribution_analytic(single, params.p)
-            dist_circ = np.abs(a_over_t - phi)
-            dist_circ = np.minimum(dist_circ, 1.0 - dist_circ)
-            mass = float(np.sum(dist[dist_circ < params.eta]))
-            worst_ratio = max(worst_ratio, (1.0 - mass) / params.theta)
+        x0 = eigenphase(measure.values)[:, None] * big_t
+        frac = x0 - np.rint(x0)
+        offsets = np.arange(-math.ceil(reach), math.ceil(reach) + 1)
+        law = outcome_law(frac, offsets, big_t)
+        mass = np.sum(law, axis=1, where=np.abs(offsets - frac) < reach)
+        worst_ratio = max(worst_ratio, float(np.max(1.0 - mass)) / params.theta)
     return _check("phase mass outside eta vs theta (ratio)", 1.0, worst_ratio)
 
 

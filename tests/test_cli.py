@@ -233,6 +233,10 @@ class TestExact:
         assert rc == 0
         assert report_dict(capsys.readouterr().out)["value"] == "3.0"
 
+    def test_wall_time_on_stderr(self, triangle_file, capsys):
+        assert main(["exact", "--matrix", triangle_file, "--j", "0", "--m", "3"]) == 0
+        assert "wall_time_s: " in capsys.readouterr().err
+
     def test_value_outside_float_range_refused(self, triangle_file, capsys):
         rc = main(["exact", "--matrix", triangle_file, "--j", "0", "--m", "1100"])
         captured = capsys.readouterr()
@@ -335,6 +339,45 @@ class TestPaths:
         assert rc == 1
         assert "error: b^m = 2.0^1100 overflows the float range" in capsys.readouterr().err
         assert calls == []
+
+
+class TestPathsRefusesBeforeOracle:
+    """paths checks --j and the sampler's limits before the oracle's m matvecs."""
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("dee.cli.power_diag_exact", lambda *a: calls.append(a) or 0.0)
+        return calls
+
+    def graph(self, tmp_path, text):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        return str(path)
+
+    def test_dense_limit(self, tmp_path, capsys, monkeypatch, oracle_calls):
+        monkeypatch.setattr("dee.qpe.MAX_DENSE_DIM", 2)
+        rc = main(["paths", "--graph", self.graph(tmp_path, TRIANGLE_GRAPH), "--j", "0", "--m", "1000"])
+        assert rc == 1
+        assert "error: dimension 3 exceeds the sampler's dense limit N <= 2" in capsys.readouterr().err
+        assert oracle_calls == []
+
+    def test_register_past_int64(self, tmp_path, capsys, oracle_calls):
+        # m = 2^27 at eps = 1 needs p = 66
+        rc = main(["paths", "--graph", self.graph(tmp_path, "2 1\n0 1\n"), "--j", "0",
+                   "--m", "134217728", "--epsilon", "1.0"])
+        assert rc == 1
+        assert "p <= 62" in capsys.readouterr().err
+        assert oracle_calls == []
+
+    @pytest.mark.parametrize("j", [3, -1])
+    def test_index_out_of_range(self, j, tmp_path, capsys, monkeypatch, oracle_calls):
+        sampled = []
+        monkeypatch.setattr("dee.cli.sample_measurements", lambda *a, **k: sampled.append(a))
+        rc = main(["paths", "--graph", self.graph(tmp_path, TRIANGLE_GRAPH), "--j", str(j), "--m", "3"])
+        assert rc == 1
+        assert f"error: index {j} out of range for dimension 3" in capsys.readouterr().err
+        assert sampled == [] and oracle_calls == []
 
 
 class TestParser:

@@ -17,6 +17,7 @@ from dee.qpe import (
     estimate_from_outcomes,
     estimate_offdiag,
     moment_of_distribution,
+    outcome_law,
     outcome_to_z,
     outcomes_to_z,
     perturbed_unitary,
@@ -115,7 +116,7 @@ class TestOutcomeToZ:
         a = np.arange(2**p)
         zs = outcomes_to_z(a, p)
         assert np.all(zs <= 1.0) and np.all(zs >= -1.0)
-        for probe in (0, 1, 255, 256, 511, 512, 513, 1023):
+        for probe in range(2**p):
             assert zs[probe] == outcome_to_z(probe, p)
 
     def test_out_of_range_rejected(self):
@@ -175,6 +176,21 @@ class TestAnalyticDistribution:
         mu = make_measure([(0.5, 1.0)])
         with pytest.raises(ValueError):
             qpe_distribution_analytic(mu, 26)
+
+    def test_cap_is_p20(self):
+        mu = make_measure([(0.5, 1.0)])
+        with pytest.raises(ValueError, match="p=21"):
+            qpe_distribution_analytic(mu, 21)
+
+    def test_phase_rounding_to_one_is_point_mass_at_zero(self):
+        # exp(i lam) with lam = -6.1e-18 has eigenphase 1.0 in floats, whose
+        # nearest outcome T wraps to 0; offsets of +-T there would give
+        # sin(k pi) != 0 and smear the point mass
+        lam, p = -6.1e-18, 6
+        assert eigenphase(lam) == 1.0
+        probs = qpe_distribution_analytic(make_measure([(lam, 1.0)]), p)
+        circuit = qpe_statevector(np.array([[lam]]), np.array([1.0]), p)
+        assert total_variation(probs, circuit) < 1e-12
 
 
 class TestStatevector:
@@ -321,6 +337,8 @@ class TestBlockSampler:
                 centre = round(x0)
                 law = _offset_law(window, x0 - centre, t)
                 assert np.all(law <= _envelope(window.astype(np.float64)) * (1.0 + 1e-12))
+                # the module's sine form against this file's sinc form
+                assert np.allclose(outcome_law(x0 - centre, window, t), law, rtol=0, atol=1e-12)
                 if p <= 12:
                     # the windowed closed form is the full outcome law
                     exact = qpe_distribution_analytic(make_measure([(float(lam), 1.0)]), p)
