@@ -1,9 +1,12 @@
 """Command-line interface: reports, files, exit codes, determinism."""
 
+import numpy as np
 import pytest
 
 from dee.cli import main
-from dee.sparse import parse_matrix
+from dee.sparse import format_matrix, parse_matrix
+
+from conftest import random_sparse_matrix
 
 TRIANGLE = "3 3\n0 1 1.0\n0 2 1.0\n1 2 1.0\n"
 TRIANGLE_GRAPH = "3 3\n0 1\n0 2\n1 2\n"
@@ -61,16 +64,20 @@ class TestEstimate:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_worker_count_is_byte_invariant(self, triangle_file, capsys):
-        base = [
-            "estimate", "--matrix", triangle_file, "--j", "0", "--m", "2",
-            "--epsilon", "0.5", "--seed", "5",
-        ]
-        assert main(base + ["--workers", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--workers", "4"]) == 0
-        threaded = capsys.readouterr().out
-        assert serial == threaded
+    def test_worker_count_is_byte_invariant(self, triangle_file, tmp_path, capsys):
+        # the triangle samples its full spectrum; 300 rows sample the Lanczos rule
+        big_file = tmp_path / "big.mat"
+        big_file.write_text(format_matrix(random_sparse_matrix(np.random.default_rng(300), 300)))
+        for path in (triangle_file, str(big_file)):
+            base = [
+                "estimate", "--matrix", path, "--j", "0", "--m", "2",
+                "--epsilon", "0.5", "--seed", "5",
+            ]
+            reports = []
+            for workers in ("1", "2", "4"):
+                assert main(base + ["--workers", workers]) == 0
+                reports.append(capsys.readouterr().out)
+            assert reports[0] == reports[1] == reports[2]
 
     def test_samples_csv_row_count(self, triangle_file, tmp_path, capsys):
         csv_path = tmp_path / "shots.csv"

@@ -7,6 +7,7 @@ import pytest
 
 from dee.qpe import (
     BLOCK_SHOTS,
+    LANCZOS_MIN_STEPS,
     MAX_SAMPLED_P,
     QpeParams,
     _envelope,
@@ -27,8 +28,14 @@ from dee.qpe import (
     sample_measurements,
     statevector_backend,
 )
-from dee.sparse import DeeInstance, Side, adjacency_from_edges, from_coordinate_list
-from dee.spectral import eig_sym, induced_measure, make_measure
+from dee.sparse import (
+    DeeInstance,
+    Side,
+    adjacency_from_edges,
+    from_coordinate_list,
+    power_diag_exact,
+)
+from dee.spectral import eig_sym, induced_measure, make_measure, moment
 
 from conftest import random_sparse_matrix, total_variation
 
@@ -436,6 +443,102 @@ class TestEstimators:
         a = adjacency_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             estimate_offdiag(a, 1, 1, 2, choose_params(2, 0.5, 0.05))
+
+
+class TestKrylovSampler:
+    """The analytic sampler on a matrix past the Lanczos step floor."""
+
+    DIM = 300
+    J = 7
+
+    @pytest.fixture
+    def matrix(self):
+        a = random_sparse_matrix(np.random.default_rng(300), self.DIM)
+        assert a.dim > LANCZOS_MIN_STEPS
+        return a
+
+    @pytest.fixture
+    def e_j(self):
+        psi = np.zeros(self.DIM)
+        psi[self.J] = 1.0
+        return psi
+
+    def test_no_dense_matrix_and_estimate_within_tolerance(self, matrix, e_j, monkeypatch):
+        monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
+        m, eps, b = 4, 0.25, matrix.norm_bound
+        params = choose_params(m, eps, 0.05)
+        outcomes = sample_measurements(matrix, b, e_j, params, seed=3)
+        estimate = estimate_from_outcomes(outcomes, params, b)
+        assert abs(estimate - power_diag_exact(matrix, self.J, m)) <= eps * b**m
+
+    @pytest.mark.parametrize("m", [4, 200])
+    def test_atoms_are_the_gauss_rule_through_moment_m(self, matrix, e_j, m, monkeypatch):
+        # b at the spectral norm, so the m-th moment is not lost under b^m
+        b = 1.000001 * float(np.max(np.abs(np.linalg.eigvalsh(matrix.to_dense()))))
+        monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
+        seen = []
+
+        def spy(decomp, psi):
+            seen.append((len(decomp.eigenvalues), induced_measure(decomp, psi)))
+            return seen[-1][1]
+
+        monkeypatch.setattr("dee.qpe.induced_measure", spy)
+        sample_measurements(matrix, b, e_j, choose_params(m, 1.0, 0.05), seed=1)
+        [(nodes, measure)] = seen
+        assert nodes == max(math.ceil((m + 1) / 2), LANCZOS_MIN_STEPS)
+        assert abs(moment(measure, m) - power_diag_exact(matrix, self.J, m) / b**m) <= 1e-12
+
+    def test_matrix_within_k_rows_samples_the_full_spectrum(self, matrix, e_j, monkeypatch):
+        # m = 2N - 2 gives K = N, where the rule would be the induced measure
+        # itself: the dense eigensolve gives it for less than N Lanczos steps
+        m = 2 * self.DIM - 2
+        monkeypatch.setattr("dee.qpe.lanczos_tridiagonal", None)
+        seen = []
+
+        def spy(decomp, psi):
+            seen.append(len(decomp.eigenvalues))
+            return induced_measure(decomp, psi)
+
+        monkeypatch.setattr("dee.qpe.induced_measure", spy)
+        sample_measurements(matrix, matrix.norm_bound, e_j, choose_params(m, 1.0, 0.05), seed=1)
+        assert seen == [self.DIM]
+
+
+def _path_with_far_peak(n):
+    """Path graph on n rows plus a diagonal 10 on its last row: the spectral
+    norm exceeds 10, but e_0 sees the peak only through n - 1 hops."""
+    return from_coordinate_list(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, n - 1, 10.0)])
+
+
+class TestNormBoundRefusal:
+    """The |lambda| <= b refusal applies to the atoms sampled: past K rows,
+    to the Lanczos nodes, not to the spectrum of A."""
+
+    def test_b_below_the_norm_passes_when_every_node_lies_within_it(self):
+        a = _path_with_far_peak(300)
+        b, m, eps = 3.0, 4, 0.25
+        assert np.max(np.abs(np.linalg.eigvalsh(a.to_dense()))) > 10.0 > b
+        psi = np.zeros(a.dim)
+        psi[0] = 1.0
+        params = choose_params(m, eps, 0.05)
+        estimate = estimate_from_outcomes(sample_measurements(a, b, psi, params, seed=2), params, b)
+        assert abs(estimate - power_diag_exact(a, 0, m)) <= eps * b**m
+
+    def test_b_below_a_node_is_refused(self):
+        # the 32 nodes from e_0 are those of the 32-row path, up to 2 cos(pi/33)
+        a = _path_with_far_peak(300)
+        psi = np.zeros(a.dim)
+        psi[0] = 1.0
+        with pytest.raises(ValueError, match="outside"):
+            sample_measurements(a, 1.5, psi, choose_params(4, 0.25, 0.05), seed=2)
+
+    def test_b_below_the_norm_is_refused_within_k_rows(self):
+        # here the peak's eigenvalue carries weight about 1e-6 on e_0
+        a = _path_with_far_peak(4)
+        psi = np.zeros(a.dim)
+        psi[0] = 1.0
+        with pytest.raises(ValueError, match="outside"):
+            sample_measurements(a, 3.0, psi, choose_params(4, 0.25, 0.05), seed=2)
 
 
 class TestEstimateFromOutcomes:

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dee.circuits import Circuit, cnot, h, rot, toffoli, x, z
+from dee.gateset import reduce_integer
+from dee.hardness import reduce
+from dee.qpe import LANCZOS_MIN_STEPS
+from dee.sparse import from_coordinate_list, power_diag_exact
 from dee.spectral import (
     SpectralMeasure,
     eig_sym,
     induced_measure,
+    lanczos_tridiagonal,
     make_measure,
     measure_to_csv,
     moment,
@@ -157,3 +164,131 @@ class TestCsv:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_measure_csv("0.5,1.0\n")
+
+
+def gauss_rule(matrix, psi, steps):
+    """(K, the K-node Gauss rule) as the analytic sampler builds it, before scaling by b."""
+    tri = lanczos_tridiagonal(matrix, psi, steps)
+    e_1 = np.zeros(len(tri))
+    e_1[0] = 1.0
+    return len(tri), induced_measure(eig_sym(tri), e_1)
+
+
+def basis(n, j):
+    psi = np.zeros(n)
+    psi[j] = 1.0
+    return psi
+
+
+def assert_moments_exact(matrix, j, steps, b):
+    """Moments 0..2K-1 of the rule from e_j match the power oracle to 1e-12 b^m."""
+    k, rule = gauss_rule(matrix, basis(matrix.dim, j), steps)
+    for m in range(2 * k):
+        assert abs(moment(rule, m) - power_diag_exact(matrix, j, m)) <= 1e-12 * b**m
+
+
+class TestLanczosRule:
+    def test_moments_match_power_oracle(self, rng):
+        for _ in range(12):
+            a = random_sparse_matrix(rng, int(rng.integers(1, 201)))
+            j = int(rng.integers(0, a.dim))
+            assert_moments_exact(a, j, int(rng.integers(1, 13)), a.norm_bound)
+
+    @pytest.mark.parametrize(
+        "reducer, gates",
+        [
+            (reduce, (h(0),)),
+            (reduce, (h(0), x(1))),
+            (reduce, (h(1), z(0))),
+            (reduce, (h(0), cnot(0, 1))),
+            (reduce, (h(0), h(1), toffoli(0, 1, 2))),
+            (reduce, (rot(0, 0.7),)),
+            (reduce_integer, (h(1), h(2), toffoli(1, 2, 0))),
+        ],
+        ids=["H", "X", "Z", "CNOT", "TOFF", "ROT", "integer"],
+    )
+    def test_moments_on_clock_reductions(self, reducer, gates):
+        dee = reducer(Circuit(n_qubits=3, gates=gates), "000").dee
+        assert_moments_exact(dee.matrix, dee.j, 4, dee.b)
+        # at the instance's own power, with the sampler's step rule
+        steps = max(math.ceil((dee.m + 1) / 2), LANCZOS_MIN_STEPS)
+        _, rule = gauss_rule(dee.matrix, basis(dee.matrix.dim, dee.j), steps)
+        assert abs(moment(rule, dee.m) - power_diag_exact(dee.matrix, dee.j, dee.m)) <= 1e-12 * dee.b**dee.m
+
+    def test_exhaustion_gives_the_induced_measure(self, rng):
+        sizes = [1, 2, 3, LANCZOS_MIN_STEPS] + [int(n) for n in rng.integers(4, LANCZOS_MIN_STEPS, size=16)]
+        for n in sizes:
+            a = random_sparse_matrix(rng, n)
+            psi = basis(n, int(rng.integers(0, n))) if n % 2 else rng.normal(size=n)
+            psi /= np.linalg.norm(psi)
+            _, rule = gauss_rule(a, psi, LANCZOS_MIN_STEPS)
+            want = induced_measure(eig_sym(a.to_dense()), psi)
+            assert len(rule.atoms) == len(want.atoms)
+            assert np.allclose(rule.values, want.values, rtol=0.0, atol=1e-12)
+            assert np.allclose(rule.weights, want.weights, rtol=0.0, atol=1e-12)
+
+    def test_exhaustion_stops_at_the_support_size(self):
+        # the triangle from a vertex sees eigenvalues 2 and -1 only
+        a = from_coordinate_list(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        assert lanczos_tridiagonal(a, basis(3, 0), LANCZOS_MIN_STEPS).shape == (2, 2)
+        assert lanczos_tridiagonal(a, np.ones(3) / math.sqrt(3.0), LANCZOS_MIN_STEPS).shape == (1, 1)
+
+    def test_nodes_lie_inside_the_spectrum(self, rng):
+        for _ in range(12):
+            a = random_sparse_matrix(rng, int(rng.integers(1, 201)))
+            lam = np.linalg.eigvalsh(a.to_dense())
+            tri = lanczos_tridiagonal(a, basis(a.dim, int(rng.integers(0, a.dim))), int(rng.integers(1, 40)))
+            nodes = np.linalg.eigvalsh(tri)
+            slack = 1e-12 * a.norm_bound
+            assert lam[0] - slack <= nodes[0] and nodes[-1] <= lam[-1] + slack
+
+    def test_bad_arguments_rejected(self):
+        a = from_coordinate_list(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError):
+            lanczos_tridiagonal(a, basis(2, 0), 0)
+        with pytest.raises(ValueError):
+            lanczos_tridiagonal(a, np.ones(2), 4)
+        with pytest.raises(ValueError):
+            lanczos_tridiagonal(a, basis(3, 0), 4)
+
+
+entry_values = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 4.0),  # exact degeneracies
+    st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3),
+)
+
+
+@st.composite
+def matrices_and_states(draw):
+    """(matrix, unit psi): psi is a basis state, (e_i +- e_j)/sqrt(2) or a random unit vector."""
+    n = draw(st.integers(1, 10))
+    index = st.integers(0, n - 1)
+    entries = {}
+    for i, j, v in draw(st.lists(st.tuples(index, index, entry_values), min_size=1, max_size=20)):
+        entries.setdefault((min(i, j), max(i, j)), v)
+    a = from_coordinate_list(n, [(i, j, v) for (i, j), v in entries.items()])
+    i, j = draw(index), draw(index)
+    psi = basis(n, i)
+    kind = draw(st.sampled_from(["basis", "plus", "minus", "random"]))
+    if kind in ("plus", "minus") and i != j:
+        psi[j] = 1.0 if kind == "plus" else -1.0
+    elif kind == "random":
+        psi = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        if np.linalg.norm(psi) < 1e-3:
+            psi = basis(n, i)
+    return a, psi / np.linalg.norm(psi), draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_states())
+def test_gauss_rule_matches_moments_inside_the_spectrum(case):
+    a, psi, steps = case
+    k, rule = gauss_rule(a, psi, steps)
+    dense = a.to_dense()
+    b = a.norm_bound
+    power = np.eye(a.dim)
+    for m in range(2 * k):
+        assert abs(moment(rule, m) - psi @ power @ psi) <= 1e-12 * b**m
+        power = power @ dense
+    lam = np.linalg.eigvalsh(dense)
+    assert lam[0] - 1e-12 * b <= rule.values[-1] and rule.values[0] <= lam[-1] + 1e-12 * b
