@@ -324,11 +324,6 @@ def gate_row_entries(g: Gate, u, n: int):
     return [(c, v) for c, v in pairs if v != 0.0 or g.kind is not GateKind.FUSED]
 
 
-def gate_col_entries(g: Gate, u: int, n: int) -> list[tuple[int, float]]:
-    """Nonzeros of column u, i.e. row u of the transpose (= inverse)."""
-    return gate_row_entries(inverse_gate(g), u, n)
-
-
 # ---------------------------------------------------------------------------
 # circuit file format: "QUBITS n" then one gate per line
 # ---------------------------------------------------------------------------

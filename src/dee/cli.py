@@ -76,6 +76,8 @@ def _backend_from_args(args) -> object:
 
 
 def cmd_estimate(args) -> int:
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
     matrix = read_matrix_file(args.matrix, norm_bound=args.b)
     b = matrix.norm_bound
     params = choose_params(args.m, args.epsilon, args.fail_prob)
@@ -92,9 +94,7 @@ def cmd_estimate(args) -> int:
     if args.i is not None:
         if args.samples_csv:
             raise ValueError("--samples-csv applies to diagonal runs only")
-        estimate = estimate_offdiag(
-            matrix, args.i, args.j, args.m, params, backend, seed=args.seed, workers=args.workers
-        )
+        estimate = estimate_offdiag(matrix, args.i, args.j, args.m, params, backend, seed=args.seed)
         pairs.append(("i", args.i))
         exact = power_entry_exact(matrix, args.i, args.j, args.m) if with_oracle else None
         decision = None
@@ -149,9 +149,7 @@ def _sample_diag(instance: DeeInstance, params, backend, args) -> tuple[np.ndarr
     """Outcomes for psi = e_j and the estimate of (A^m)_jj they give."""
     psi = np.zeros(instance.matrix.dim)
     psi[instance.j] = 1.0
-    outcomes = sample_measurements(
-        instance.matrix, instance.b, psi, params, backend, seed=args.seed, workers=args.workers
-    )
+    outcomes = sample_measurements(instance.matrix, instance.b, psi, params, backend, seed=args.seed)
     return outcomes, estimate_from_outcomes(outcomes, params, instance.b)
 
 
@@ -235,6 +233,8 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
     n, edges = read_graph_file(args.graph)
     matrix = adjacency_from_edges(n, edges)
     b = matrix.norm_bound

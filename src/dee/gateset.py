@@ -34,7 +34,6 @@ from dee.circuits import (
     basis_index,
     build_mirror_circuit,
     fused,
-    gate_unitary,
     h,
     is_permutation_gate,
     x,
@@ -90,15 +89,6 @@ class UniformScaleGate:
         return top
 
 
-def transpose_element(e: UniformScaleGate) -> UniformScaleGate:
-    """Transpose: (H P)^T = P H and (P H)^T = H P because both factors are symmetric."""
-    if e.kind == LONE_H:
-        return e
-    if e.kind == PERM_THEN_H:
-        return UniformScaleGate(kind=H_THEN_PERM, h_qubit=e.h_qubit, perm=e.perm)
-    return UniformScaleGate(kind=PERM_THEN_H, h_qubit=e.h_qubit, perm=e.perm)
-
-
 def element_int_row(e: UniformScaleGate, u, n: int):
     """Row u of sqrt(2) * (element matrix): exactly two entries, each +-1.
 
@@ -119,16 +109,6 @@ def element_int_row(e: UniformScaleGate, u, n: int):
         cols = [_perm_image(e.perm, c) for c in cols]
     cols, vals = np.array(cols), np.array([np.ones_like(r), 1 - 2 * ((r >> e.h_qubit) & 1)])
     return (cols, vals) if u.ndim else list(zip(cols.tolist(), vals.tolist()))
-
-
-def element_int_col(e: UniformScaleGate, u: int, n: int) -> list[tuple[int, int]]:
-    """Column u of sqrt(2) * (element matrix), via the transposed element."""
-    return element_int_row(transpose_element(e), u, n)
-
-
-def element_matrix(e: UniformScaleGate, n: int) -> np.ndarray:
-    """Dense element matrix on n qubits (oracle for the symbolic rows)."""
-    return gate_unitary(e.as_fused_gate(), n)
 
 
 def rewrite_to_th(circuit: Circuit) -> Circuit:

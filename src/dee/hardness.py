@@ -152,13 +152,6 @@ def build_observable(clock: ClockOperator) -> SparseSymmetricMatrix:
     return assemble_clock(clock.gates, gate_row_entries, clock.n_qubits, 0.5, 1.0)
 
 
-def observable_row(clock: ClockOperator, r: int) -> tuple[tuple[int, float], ...]:
-    """Row r of A = (W + W^T)/2, read from the assembled observable."""
-    if not 0 <= r < clock.dim:
-        raise ValueError(f"row {r} out of range for dimension {clock.dim}")
-    return build_observable(clock).row(r)
-
-
 def symmetric_overlap(clock: ClockOperator, xs: str | list[int] | tuple[int, ...]) -> float:
     """(1 + <x,0| U_{M-1} ... U_0 |x,0>) / 2, the W^M = +1 sector weight.
 

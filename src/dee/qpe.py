@@ -20,10 +20,11 @@ an analytic sampler that draws from the exact outcome distribution
 per eigen-atom by vectorised rejection, which needs no 2^p-sized vector and
 runs at any register width up to p = 62 (outcomes are int64).  `outcome_law`
 is the one closed form of that law: the full distribution tabulates it, the
-sampler's accept test is it with the division multiplied out, and verify's
-phase-mass check sums it over a window of offsets.  Shots are
-drawn in blocks of 4,096, each block from its own Philox stream spawned from
-the seed, so the outcomes depend only on the seed and k.
+sampler's accept test is it with the division multiplied out, and every
+moment and phase-mass check of `dee.verify` sums it over a window of
+offsets around each atom.  Shots are drawn in blocks of 4,096, each block
+from its own Philox stream spawned from the seed, so the outcomes depend
+only on the seed and k.
 
 The analytic sampler takes its eigen-atoms from a K-step Lanczos run from
 psi over the sparse matrix, with no dense N x N array: the K-node Gauss
@@ -152,23 +153,25 @@ def outcome_to_z(a: int, p: int) -> float:
     return float(outcomes_to_z(np.array([a]), p)[0])
 
 
-def outcomes_to_z(a_values: np.ndarray, p: int) -> np.ndarray:
+def outcomes_to_z(a_values: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """Map p-bit outcomes to eigenvalue estimates in [-1, 1].
 
     Outcomes near 0 (resp. 2^p) decode small positive (resp. negative)
-    eigenvalues as 2 pi a / 2^p shifted into (-pi, pi]; the dead zones where
-    no eigenvalue of a normalized observable can land clip to +-1.
+    eigenvalues as 2 pi a / 2^p shifted into [-pi, pi); the dead zones where
+    no eigenvalue of a normalized observable can land clip to +-1.  The
+    estimates are decoded in place, in `out` if given, else in a new array.
+    The range check reads the outcomes before the float cast, which past
+    p = 53 rounds 2^p - 1 up to 2^p (decoded as 0).
     """
-    t = float(1 << p)
-    a = np.asarray(a_values, dtype=np.float64)
-    if a.size and (a.min() < 0 or a.max() >= t):
+    a = np.asarray(a_values)
+    if a.size and (a.min() < 0 or a.max() >= 1 << p):
         raise ValueError(f"outcome out of range for p={p}")
-    cut = t / _TWO_PI
-    return np.select(
-        [a < cut, a < t / 2, a < t - cut],
-        [_TWO_PI * a / t, np.ones_like(a), -np.ones_like(a)],
-        default=_TWO_PI * (a - t) / t,
-    )
+    t = float(1 << p)
+    z = np.empty(a.shape) if out is None else out
+    z[...] = a
+    np.subtract(z, t, out=z, where=z >= t / 2)
+    z *= _TWO_PI / t  # T is a power of 2, so this rounds as 2 pi z / T does
+    return np.clip(z, -1.0, 1.0, out=z)
 
 
 def eigenphase(lam: float | np.ndarray) -> float | np.ndarray:
@@ -184,7 +187,9 @@ def _eigenphases(measure: SpectralMeasure) -> np.ndarray:
     return eigenphase(lam)
 
 
-def outcome_law(frac: float | np.ndarray, offsets: np.ndarray, t: int) -> np.ndarray:
+def outcome_law(
+    frac: float | np.ndarray, offsets: np.ndarray, t: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pr(round(phi*T) + j | phi) for offsets j, with frac = phi*T - round(phi*T).
 
     The phase-estimation law sin^2(pi T d) / (T^2 sin^2(pi d)) at d = phi - a/T
@@ -192,11 +197,18 @@ def outcome_law(frac: float | np.ndarray, offsets: np.ndarray, t: int) -> np.nda
     j - frac: sin^2(pi frac) / (T sin(pi (j - frac) / T))^2, and 1 where the
     denominator is 0.  Offsets must lie in [-T/2, T/2]: float sin(k pi) is
     not 0, so an offset of +-T would not give the exact point mass.  frac and
-    offsets broadcast.
+    offsets broadcast.  The law is computed in place in one array: `out` if
+    given, else a new one.
     """
-    den = t * np.sin(np.pi * (offsets - frac) / t)
-    den *= den
-    return np.divide(np.sin(np.pi * frac) ** 2, den, out=np.ones(den.shape), where=den != 0.0)
+    law = np.subtract(offsets, frac, out=out)
+    law *= np.pi / t  # T is a power of 2, so this rounds as pi * x / T does
+    np.sin(law, out=law)
+    law *= t
+    law *= law
+    zero = law == 0.0
+    np.divide(np.sin(np.pi * frac) ** 2, law, out=law, where=~zero)
+    law[zero] = 1.0
+    return law
 
 
 def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
@@ -291,16 +303,11 @@ def qpe_distribution_unitary(u: np.ndarray, psi: np.ndarray, p: int) -> np.ndarr
     return np.sum(np.abs(state) ** 2, axis=1)
 
 
-def z_power_table(p: int, m: int) -> np.ndarray:
-    """z^m for every p-bit outcome 0..2^p - 1; E[Z^m] is its dot with a distribution."""
-    return outcomes_to_z(np.arange(1 << p), p) ** m
-
-
 def moment_of_distribution(probs: np.ndarray, p: int, m: int) -> float:
-    """E[Z^m] under an outcome distribution."""
+    """E[Z^m] under a distribution over all 2^p outcomes."""
     if probs.shape != (1 << p,):
         raise ValueError(f"distribution length {probs.shape} does not match p={p}")
-    return float(np.dot(probs, z_power_table(p, m)))
+    return float(np.dot(probs, outcomes_to_z(np.arange(1 << p), p) ** m))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +378,12 @@ def sample_measurements(
     params: QpeParams,
     backend: EstimatorBackend | None = None,
     seed: int | tuple = 0,
-    workers: int = 1,
 ) -> np.ndarray:
     """k independent phase-estimation outcomes for observable A/b in state psi.
 
     Shots are drawn in blocks of BLOCK_SHOTS, block i from the i-th Philox
     stream spawned from the seed, so the outcome array depends only on
-    (seed, k): a block's outcomes do not depend on k, and sampling runs on
-    one thread whatever `workers` is (still validated, for the CLI).
+    (seed, k): a block's outcomes do not depend on k.
     Registers wider than MAX_SAMPLED_P bits and matrices past MAX_DENSE_DIM
     rows are refused before any draw or dense array.  The analytic backend
     samples the Lanczos Gauss rule of the module docstring, and builds A
@@ -388,8 +393,6 @@ def sample_measurements(
     """
     if backend is None:
         backend = analytic_backend()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if params.p > MAX_SAMPLED_P:
         raise ValueError(
             f"register width p={params.p} exceeds the sampler limit p <= {MAX_SAMPLED_P} "
@@ -441,9 +444,8 @@ def _estimate_moment(
     params: QpeParams,
     backend: EstimatorBackend | None,
     seed: int | tuple,
-    workers: int,
 ) -> float:
-    a_values = sample_measurements(matrix, b, psi, params, backend, seed, workers)
+    a_values = sample_measurements(matrix, b, psi, params, backend, seed)
     return estimate_from_outcomes(a_values, params, b)
 
 
@@ -452,7 +454,6 @@ def estimate_diag(
     params: QpeParams,
     backend: EstimatorBackend | None = None,
     seed: int | tuple = 0,
-    workers: int = 1,
 ) -> DeeDecision:
     """Estimate (A^m)_jj to accuracy eps*b^m and decide the side of g.
 
@@ -466,9 +467,7 @@ def estimate_diag(
         )
     psi = np.zeros(instance.matrix.dim)
     psi[instance.j] = 1.0
-    estimate = _estimate_moment(
-        instance.matrix, instance.b, psi, params, backend, seed, workers
-    )
+    estimate = _estimate_moment(instance.matrix, instance.b, psi, params, backend, seed)
     return decide(estimate, instance.g)
 
 
@@ -480,7 +479,6 @@ def estimate_offdiag(
     params: QpeParams,
     backend: EstimatorBackend | None = None,
     seed: int | tuple = 0,
-    workers: int = 1,
 ) -> float:
     """Estimate (A^m)_ij for i != j via the polarization identity.
 
@@ -504,8 +502,8 @@ def estimate_offdiag(
     psi_minus[i] = inv
     psi_minus[j] = -inv
     base = seed if isinstance(seed, tuple) else (seed,)
-    e_plus = _estimate_moment(matrix, b, psi_plus, sub, backend, base + (0,), workers)
-    e_minus = _estimate_moment(matrix, b, psi_minus, sub, backend, base + (1,), workers)
+    e_plus = _estimate_moment(matrix, b, psi_plus, sub, backend, base + (0,))
+    e_minus = _estimate_moment(matrix, b, psi_minus, sub, backend, base + (1,))
     return (e_plus - e_minus) / 2.0
 
 

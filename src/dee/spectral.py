@@ -186,23 +186,3 @@ def moment(measure: SpectralMeasure, m: int) -> float:
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
     return math.fsum(signed_power(v, m) * w for v, w in measure.atoms)
-
-
-def measure_to_csv(measure: SpectralMeasure) -> str:
-    lines = ["eigenvalue,weight"]
-    for v, w in measure.atoms:
-        lines.append(f"{v!r},{w!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_measure_csv(text: str) -> SpectralMeasure:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "eigenvalue,weight":
-        raise ValueError("measure csv must start with header 'eigenvalue,weight'")
-    pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'eigenvalue,weight', got {line!r}")
-        pairs.append((float(parts[0]), float(parts[1])))
-    return make_measure(pairs)

@@ -15,7 +15,6 @@ from dee.circuits import (
     cnot,
     format_circuit,
     fused,
-    gate_col_entries,
     gate_matrix,
     gate_row_entries,
     gate_unitary,
@@ -224,17 +223,6 @@ class TestRowColumnOracles:
                 for col in range(2**n):
                     assert entries.get(col, 0.0) == pytest.approx(
                         dense_row[col], abs=1e-12
-                    )
-
-    def test_cols_match_dense(self, rng):
-        n = 2
-        for g in [h(0), x(1), cnot(1, 0), rot(0, 1.1), fused(h(1), x(0))]:
-            u = gate_unitary(g, n)
-            for col in range(2**n):
-                entries = dict(gate_col_entries(g, col, n))
-                for row in range(2**n):
-                    assert entries.get(row, 0.0) == pytest.approx(
-                        u[row, col], abs=1e-12
                     )
 
     def test_fused_rows_are_merged(self):

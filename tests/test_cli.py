@@ -311,6 +311,27 @@ class TestReduce:
         assert not out_meta.exists()
 
 
+class TestWorkersRefusal:
+    """--workers changes no output, but a count below 1 is still an error."""
+
+    def test_estimate(self, triangle_file, capsys):
+        rc = main(["estimate", "--matrix", triangle_file, "--j", "0", "--m", "2",
+                   "--epsilon", "0.5", "--workers", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: workers must be >= 1" in captured.err
+
+    def test_paths(self, tmp_path, capsys):
+        graph = tmp_path / "triangle.graph"
+        graph.write_text(TRIANGLE_GRAPH)
+        rc = main(["paths", "--graph", str(graph), "--j", "0", "--m", "3", "--workers", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: workers must be >= 1" in captured.err
+
+
 class TestVerifyBounds:
     def test_small_battery_passes(self, capsys):
         rc = main(["verify-bounds", "--matrices", "2", "--trials", "4"])

@@ -9,6 +9,7 @@ from dee.circuits import (
     Circuit,
     circuit_unitary,
     cnot,
+    gate_unitary,
     h,
     rot,
     toffoli,
@@ -22,15 +23,12 @@ from dee.gateset import (
     PERM_THEN_H,
     UniformScaleGate,
     build_integer_observable,
-    element_int_col,
     element_int_row,
-    element_matrix,
     even_m_thresholds,
     fuse_uniform_scale,
     predicted_integer_diag,
     reduce_integer,
     rewrite_to_th,
-    transpose_element,
 )
 from dee.sparse import power_diag_exact
 from dee.spectral import eig_sym
@@ -79,7 +77,7 @@ class TestElements:
     def test_int_rows_match_dense(self):
         n = 3
         for e in sample_elements():
-            dense = element_matrix(e, n)
+            dense = gate_unitary(e.as_fused_gate(), n)
             for u in range(1 << n):
                 entries = element_int_row(e, u, n)
                 assert len(entries) == 2
@@ -88,25 +86,6 @@ class TestElements:
                     assert val in (-1, 1)
                     row[v] = val * INV_SQRT2
                 assert np.allclose(row, dense[u], atol=1e-12)
-
-    def test_int_cols_match_dense(self):
-        n = 3
-        for e in sample_elements():
-            dense = element_matrix(e, n)
-            for u in range(1 << n):
-                col = np.zeros(1 << n)
-                for v, val in element_int_col(e, u, n):
-                    col[v] = val * INV_SQRT2
-                assert np.allclose(col, dense[:, u], atol=1e-12)
-
-    def test_transpose_element_matches_matrix_transpose(self):
-        n = 3
-        for e in sample_elements():
-            assert np.allclose(
-                element_matrix(transpose_element(e), n),
-                element_matrix(e, n).T,
-                atol=1e-12,
-            )
 
 
 class TestFusion:
@@ -127,7 +106,7 @@ class TestFusion:
     def test_every_element_holds_one_h(self):
         c = Circuit(n_qubits=3, gates=(toffoli(0, 1, 2), h(1), x(0), z(2)))
         for e in fuse_uniform_scale(rewrite_to_th(c)):
-            dense = element_matrix(e, 3)
+            dense = gate_unitary(e.as_fused_gate(), 3)
             # all entries uniform scale 1/sqrt(2)
             mags = np.unique(np.round(np.abs(dense), 12))
             assert set(mags.tolist()) <= {0.0, round(INV_SQRT2, 12)}
@@ -166,7 +145,7 @@ class TestIntegerObservable:
         nd = 1 << n
         w = np.zeros((obs.matrix.dim, obs.matrix.dim))
         for l, e in enumerate(elements):
-            block = element_matrix(e, n)
+            block = gate_unitary(e.as_fused_gate(), n)
             dst = (l + 1) % m_count
             w[dst * nd : (dst + 1) * nd, l * nd : (l + 1) * nd] = block
         want = OBSERVABLE_SCALE * 0.5 * (w + w.T)

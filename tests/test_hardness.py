@@ -13,7 +13,6 @@ from dee.hardness import (
     clock_unitary_dense,
     cycle_phase_measure,
     moment_separation,
-    observable_row,
     predicted_diag,
     reduce,
     reference_measure,
@@ -74,8 +73,9 @@ class TestObservable:
         ):
             clock = ClockOperator(gates=tuple(gates), n_qubits=n)
             dense = 0.5 * (clock_unitary_dense(clock) + clock_unitary_dense(clock).T)
+            a = build_observable(clock)
             for r in range(clock.dim):
-                row = dict(observable_row(clock, r))
+                row = dict(a.row(r))
                 for c in range(clock.dim):
                     assert row.get(c, 0.0) == pytest.approx(dense[r, c], abs=1e-12)
 

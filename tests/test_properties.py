@@ -1,4 +1,5 @@
-"""Property tests: matrix construction, the matrix file round trip, clock assembly."""
+"""Property tests: matrix construction, the matrix, graph and circuit file
+formats, clock assembly."""
 
 import math
 
@@ -6,10 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dee.circuits import GateKind, cnot, fused, gate_row_entries, gate_unitary, h, rot, toffoli, x, z
+from dee.circuits import (
+    Circuit,
+    GateKind,
+    cnot,
+    format_circuit,
+    fused,
+    gate_row_entries,
+    gate_unitary,
+    h,
+    parse_circuit,
+    rot,
+    toffoli,
+    x,
+    z,
+)
 from dee.gateset import H_THEN_PERM, LONE_H, PERM_THEN_H, UniformScaleGate, element_int_row
 from dee.hardness import ClockOperator, build_observable, clock_unitary_dense
-from dee.sparse import format_matrix, from_coordinate_list, parse_matrix
+from dee.sparse import format_matrix, from_coordinate_list, parse_graph, parse_matrix
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -225,3 +240,84 @@ def test_element_rows_array_call_matches_row_calls(case):
         one = element_int_row(e, u, n)
         assert sorted(one) == reference_element_row(e, u)
         assert sorted(zip(cols[:, u].tolist(), vals[:, u].tolist())) == sorted(one)
+
+
+def noisy_text(draw, lines):
+    """The lines, each maybe followed by a comment, with blank and comment-only
+    lines drawn in between; a parser must skip all of them."""
+    comment = st.sampled_from(["", "  # note", "\t#x"])
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(st.sampled_from(["", "   ", "# comment"]), max_size=2)))
+        out.append(line + draw(comment))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def graph_cases(draw):
+    n = draw(st.integers(1, 10**6))
+    edges = draw(st.lists(st.tuples(st.integers(-5, 10**20), st.integers(-5, 10**20)), max_size=8))
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    return n, edges, noisy_text(draw, lines)
+
+
+@SETTINGS
+@given(graph_cases())
+def test_graph_text_round_trip(case):
+    n, edges, text = case
+    assert parse_graph(text) == (n, edges)
+
+
+# a well-formed body after each of these headers must still be refused (a
+# missing header is not among them: the first edge line would read as one)
+bad_graph_headers = st.one_of(
+    st.integers(0, 9).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)).map(lambda t: "%d %d %d" % t),
+    st.tuples(st.sampled_from(["x", "2.5", "1e3", "0x3"]), st.integers(0, 9)).map(lambda t: "%s %d" % t),
+    st.integers(0, 9).map(lambda n: f"{n} two"),
+)
+
+
+@SETTINGS
+@given(graph_cases(), bad_graph_headers, st.integers(-3, 3).filter(bool))
+def test_graph_refuses_malformed_headers(case, header, miscount):
+    n, edges, _ = case
+    body = [f"{u} {v}" for u, v in edges]
+    with pytest.raises(ValueError):
+        parse_graph("\n".join([header] + body) + "\n")
+    if len(edges) + miscount >= 0:  # a count that disagrees with the body
+        with pytest.raises(ValueError, match="header promises"):
+            parse_graph("\n".join([f"{n} {len(edges) + miscount}"] + body) + "\n")
+
+
+@st.composite
+def circuits(draw):
+    """Circuits of every file gate kind (no fused gates), ROT at any angle."""
+    n = draw(st.integers(1, 5))
+    return Circuit(n, tuple(draw(st.lists(gates(n, depth=2), max_size=8))))
+
+
+@SETTINGS
+@given(circuits(), st.data())
+def test_circuit_text_round_trip(c, data):
+    text = format_circuit(c)
+    assert parse_circuit(text) == c
+    assert format_circuit(parse_circuit(text)) == text
+    assert parse_circuit(noisy_text(data.draw, text.splitlines())) == c
+
+
+bad_circuit_headers = st.one_of(
+    st.just(""),
+    st.sampled_from(["QUBIT", "qubits", "QUBITS:", "Q"]).flatmap(lambda k: st.integers(1, 9).map(lambda n: f"{k} {n}")),
+    st.integers(1, 9).map(lambda n: f"QUBITS {n} {n}"),
+    st.sampled_from(["QUBITS", "QUBITS x", "QUBITS 2.5", "QUBITS 1e3", "QUBITS 0x3", "3"]),
+    st.integers(-5, 0).map(lambda n: f"QUBITS {n}"),
+)
+
+
+@SETTINGS
+@given(circuits(), bad_circuit_headers)
+def test_circuit_refuses_malformed_headers(c, header):
+    body = format_circuit(c).splitlines()[1:]
+    with pytest.raises(ValueError):
+        parse_circuit("\n".join([header] + body) + "\n")

@@ -132,6 +132,28 @@ class TestOutcomeToZ:
         with pytest.raises(ValueError):
             outcome_to_z(16, 4)
 
+    @pytest.mark.parametrize("p", [54, 62])
+    def test_last_outcome_accepted_past_float_resolution(self, p):
+        # 2^p - 1 rounds up to 2^p as a float; the range check reads the integer
+        assert outcome_to_z((1 << p) - 1, p) == 0.0
+        with pytest.raises(ValueError):
+            outcomes_to_z(np.array([1 << p]), p)
+
+    @pytest.mark.parametrize("p", [20, 53, 62])
+    def test_dead_zone_edges_stay_in_unit_interval(self, p):
+        t = 1 << p
+        edges = [round(t / (2 * math.pi)), round(t - t / (2 * math.pi))]
+        a = np.concatenate([np.arange(e - 300, e + 300) for e in edges])
+        z = outcomes_to_z(a, p)
+        assert np.all(np.abs(z) <= 1.0)
+        assert np.all(np.diff(z[:600]) >= 0) and np.all(np.diff(z[600:]) >= 0)
+
+    def test_out_buffer_holds_the_decode(self):
+        a = np.arange(2**8)
+        out = np.empty(2**8)
+        assert outcomes_to_z(a, 8, out=out) is out
+        assert np.array_equal(out, outcomes_to_z(a, 8))
+
 
 class TestEigenphase:
     def test_values(self):
@@ -286,14 +308,6 @@ class TestSampling:
         two = sample_measurements(a, 1.0, psi, params, seed=3)
         assert np.array_equal(one, two)
 
-    def test_worker_count_does_not_change_outcomes(self):
-        a = adjacency_from_edges(3, [(0, 1), (1, 2)])
-        params = choose_params(2, 0.6, 0.1)
-        psi = np.array([0.0, 1.0, 0.0])
-        serial = sample_measurements(a, 2.0, psi, params, seed=11, workers=1)
-        threaded = sample_measurements(a, 2.0, psi, params, seed=11, workers=4)
-        assert np.array_equal(serial, threaded)
-
     def test_backends_draw_from_same_law(self):
         # statevector and analytic backends sample the same distribution;
         # compare empirical means loosely under different seeds
@@ -383,11 +397,9 @@ class TestBlockSampler:
         a = adjacency_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         psi = np.array([0.6, 0.8, 0.0])
         params = _params_at_width(12, k)
-        one = sample_measurements(a, 2.0, psi, params, seed=5, workers=1)
+        one = sample_measurements(a, 2.0, psi, params, seed=5)
         assert one.shape == (k,) and one.dtype == np.int64
-        for workers in (1, 3):
-            again = sample_measurements(a, 2.0, psi, params, seed=5, workers=workers)
-            assert np.array_equal(one, again)
+        assert np.array_equal(one, sample_measurements(a, 2.0, psi, params, seed=5))
 
     def test_register_past_int64_refused(self):
         matrix = from_coordinate_list(1, [(0, 0, 0.3)])

@@ -17,9 +17,7 @@ from dee.spectral import (
     induced_measure,
     lanczos_tridiagonal,
     make_measure,
-    measure_to_csv,
     moment,
-    parse_measure_csv,
     signed_power,
 )
 
@@ -153,17 +151,6 @@ class TestSignedPower:
     def test_sign_of_odd_powers(self):
         assert signed_power(-0.3, 3) < 0.0
         assert signed_power(-0.3, 4) > 0.0
-
-
-class TestCsv:
-    def test_round_trip(self):
-        mu = make_measure([(0.75, 0.5), (-0.25, 0.5)])
-        back = parse_measure_csv(measure_to_csv(mu))
-        assert back.atoms == mu.atoms
-
-    def test_header_required(self):
-        with pytest.raises(ValueError):
-            parse_measure_csv("0.5,1.0\n")
 
 
 def gauss_rule(matrix, psi, steps):

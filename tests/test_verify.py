@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from dee.qpe import choose_params, eigenphase, qpe_distribution_analytic
+import dee.verify
+from dee.qpe import choose_params, eigenphase, moment_of_distribution, qpe_distribution_analytic
 from dee.spectral import eig_sym, induced_measure, make_measure
-from dee.verify import _BUDGETS, _FAIL_PROB, phase_mass_check, random_sparse_symmetric
+from dee.verify import (
+    _BUDGETS,
+    _FAIL_PROB,
+    WINDOW,
+    phase_mass_check,
+    random_sparse_symmetric,
+    run_bound_checks,
+    window_sums,
+)
 
 
 def _phase_mass_full_vector(n_matrices, seed):
@@ -35,3 +44,58 @@ def _phase_mass_full_vector(n_matrices, seed):
 def test_phase_mass_window_matches_full_vector(seed):
     got = phase_mass_check(n_matrices=4, seed=seed).measured
     assert got == pytest.approx(_phase_mass_full_vector(4, seed), rel=0, abs=1e-12)
+
+
+def _full_moment(lam, p, m):
+    return moment_of_distribution(qpe_distribution_analytic(make_measure([(lam, 1.0)]), p), p, m)
+
+
+# eigenvalues near 0 and +-1, where outcomes wrap around 0 and reach the
+# dead zones, plus random ones
+LAMBDAS = [0.0, 1e-9, -1e-9, 1.0, -1.0, 0.37, -0.81] + np.random.default_rng(5).uniform(-1, 1, 6).tolist()
+
+
+@pytest.mark.parametrize("p", [8, 12, 16])
+def test_whole_window_equals_full_vector_moment(p):
+    assert (1 << p) // 2 <= WINDOW
+    for lam in LAMBDAS:
+        for m in (1, 2, 3, 4):
+            sums = window_sums(np.array([lam]), p, m, 0.01)
+            assert sums.moment[0] == pytest.approx(_full_moment(lam, p, m), rel=0, abs=1e-12)
+            assert sums.tail[0] < 1e-12
+
+
+@pytest.mark.parametrize("p", [18, 20])
+def test_narrow_window_brackets_full_vector_moment(p):
+    """Past p = 17 the window covers part of the law; the full-vector moment
+    lies within tail of S, up to the rounding of the two sums."""
+    assert (1 << p) // 2 > WINDOW
+    for lam in LAMBDAS[5:]:
+        for m in (2, 3):
+            sums = window_sums(np.array([lam]), p, m, 0.01)
+            assert sums.tail[0] > 0.0
+            assert abs(_full_moment(lam, p, m) - sums.moment[0]) <= sums.tail[0] + 1e-14
+
+
+def test_window_wrapping_zero_past_float_resolution():
+    """At p = 54 the windows of eigenvalues near 0 hold outcome 2^p - 1."""
+    sums = window_sums(np.array([0.0, 1e-13, -1e-13]), 54, 2, 1e-9)
+    assert np.all(np.abs(sums.moment) < 1e-20)
+    assert np.all(sums.mass > 0.999) and np.all(sums.tail < 1e-5)
+
+
+def test_bound_checks_build_no_distribution_vector(monkeypatch):
+    """The battery passes with the 2^p distribution unavailable, and every
+    array the windowed checks build has at most 2 WINDOW + 1 entries."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a 2^p distribution")
+
+    sizes = []
+    law, decode = dee.verify.outcome_law, dee.verify.outcomes_to_z
+    monkeypatch.setattr(dee.verify, "qpe_distribution_analytic", refuse)
+    monkeypatch.setattr(dee.verify, "outcome_law", lambda f, j, t, out: sizes.append(j.size) or law(f, j, t, out))
+    monkeypatch.setattr(dee.verify, "outcomes_to_z", lambda a, p, out: sizes.append(a.size) or decode(a, p, out))
+    checks = run_bound_checks(n_matrices=4, trials=2)
+    assert all(c.passed for c in checks)
+    assert max(sizes) == 2 * WINDOW + 1  # the p = 18 budgets
