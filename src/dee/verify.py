@@ -13,12 +13,14 @@ bound:
   * perturbation: replacing exp(iA) by any V with ||V - U|| <= delta moves
     E[Z^m] by at most 2^(p+2) delta.
 
-The first four read one mechanism, `window_sums`: each atom's `outcome_law`
-summed over a window of at most 2 WINDOW + 1 offsets, with no 2^p vector.
-Since |z| <= 1, the law mass outside the window bounds how far E[Z^m] can
-lie from the windowed sum, and each check adds it to its measured value, so
-every measured value is an upper bound on the true one.  While T/2 <= WINDOW
-(p <= 17) the window is the whole law and the sums are exact.
+The three moment checks read one mechanism, `window_sums`: each atom's
+`outcome_law` summed over a window of at most 2 WINDOW + 1 offsets, with no
+2^p vector.  Since |z| <= 1, the law mass outside the window bounds how far
+E[Z^m] can lie from the windowed sum, and each check adds it to its measured
+value, so every measured value is an upper bound on the true one.  While
+T/2 <= WINDOW (p <= 17) the window is the whole law and the sums are exact.
+The phase-mass check, `phase_mass`, evaluates the law only on the slice of
+that window within eta of the phase.
 """
 
 from __future__ import annotations
@@ -108,28 +110,22 @@ class WindowSums(NamedTuple):
 
     moment: np.ndarray  # S = sum of law * z^m
     tail: np.ndarray  # law mass outside the window, so |E[Z^m] - S| <= tail
-    mass: np.ndarray  # law mass at circular distance < eta from the phase
 
 
 def window_sums(values: np.ndarray, p: int, m: int, eta: float) -> WindowSums:
     """Each eigenvalue's `outcome_law`, evaluated once over the offsets
     |j| <= WINDOW around round(phi*T), or over all of [-T/2, T/2) when
-    T/2 <= WINDOW, and the three sums every check reads from it.
+    T/2 <= WINDOW, and the two sums the moment checks read from it.
 
     Atoms are taken one at a time in arrays allocated once per call (fresh
     ones per atom page-faulted enough to slow the battery by a third).
-    Outcome round(phi*T) + j lies within circular distance eta of phi iff
-    |j - frac| < eta*T; past the window the mass is a lower bound.
     """
     t = 1 << p
     half = min(t // 2, WINDOW)
     offsets = np.arange(-half, half) if half == t // 2 else np.arange(-half, half + 1)
     outcomes = np.empty_like(offsets)
     law, zm = np.empty(len(offsets)), np.empty(len(offsets))
-    # only offsets |j| <= ceil(eta*T) can lie within eta*T of frac
-    reach = min(math.ceil(eta * t), half)
-    near = slice(half - reach, half + reach + 1)
-    sums = np.empty((3, len(values)))
+    sums = np.empty((2, len(values)))
     for i, lam in enumerate(values):
         x0 = eigenphase(lam) * t
         centre = int(np.rint(x0))
@@ -138,12 +134,28 @@ def window_sums(values: np.ndarray, p: int, m: int, eta: float) -> WindowSums:
         np.add(offsets, centre, out=outcomes)
         outcomes &= t - 1
         np.power(outcomes_to_z(outcomes, p, out=zm), m, out=zm)
-        sums[:, i] = (
-            np.dot(law, zm),
-            max(0.0, 1.0 - float(np.sum(law))),
-            np.sum(law[near], where=np.abs(offsets[near] - frac) < eta * t),
-        )
+        sums[:, i] = np.dot(law, zm), max(0.0, 1.0 - float(np.sum(law)))
     return WindowSums(*sums)
+
+
+def phase_mass(values: np.ndarray, p: int, eta: float) -> np.ndarray:
+    """Per eigenvalue, its law's mass at circular distance < eta from its phase.
+
+    Outcome round(phi*T) + j lies within that distance iff |j - frac| < eta*T,
+    so the law is evaluated only at the offsets |j| <= ceil(eta*T) of the
+    `window_sums` window; past the window the mass is a lower bound.
+    """
+    t = 1 << p
+    reach = min(math.ceil(eta * t), t // 2, WINDOW)
+    offsets = np.arange(-reach, min(reach + 1, t // 2))
+    law = np.empty(len(offsets))
+    mass = np.empty(len(values))
+    for i, lam in enumerate(values):
+        x0 = eigenphase(lam) * t
+        frac = x0 - int(np.rint(x0))
+        outcome_law(frac, offsets, t, out=law)
+        mass[i] = np.sum(law, where=np.abs(offsets - frac) < eta * t)
+    return mass
 
 
 def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
@@ -155,7 +167,7 @@ def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
         params = choose_params(m, eps, _FAIL_PROB)
         matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
         measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
-        mass = window_sums(measure.values, params.p, m, params.eta).mass
+        mass = phase_mass(measure.values, params.p, params.eta)
         worst_ratio = max(worst_ratio, float(np.max(1.0 - mass)) / params.theta)
     return _check("phase mass outside eta vs theta (ratio)", 1.0, worst_ratio)
 

@@ -68,6 +68,25 @@ def rotation_circuit(alpha_sq, n_gates):
     return Circuit(n_qubits=2, gates=tuple(gates))
 
 
+# Fixed 12-qubit circuits and input whose reductions have 53,248 and 86,016
+# rows (clock lengths M = 13 and 21, so m = 2,197 and 9,261).  Qubit 0 is
+# rotated only, so alpha1_sq is about 0.85 and the diagonal is far from 0.
+TWELVE_QUBIT_INPUT = "101100111010"
+TWELVE_QUBIT_6_GATES = "QUBITS 12\nROT 0 0.4\nCNOT 0 1\nTOFF 1 2 3\nH 4\nX 5\nCNOT 3 11\n"
+TWELVE_QUBIT_10_GATES = TWELVE_QUBIT_6_GATES + "H 7\nTOFF 4 7 8\nZ 8\nROT 9 1.3\n"
+
+
+def connected_rows(a, j):
+    """The rows reachable from j through nonzero entries, by a Python search."""
+    reached, todo = {j}, [j]
+    while todo:
+        for col, _ in a.row(todo.pop()):
+            if col not in reached:
+                reached.add(col)
+                todo.append(col)
+    return reached
+
+
 def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

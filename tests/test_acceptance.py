@@ -1,7 +1,9 @@
-"""Acceptance battery: twelve end-to-end checks at fixed tolerances.
+"""Acceptance battery: twelve end-to-end checks at fixed tolerances, plus
+`reduce` at 12 qubits.
 
-Each test prints one `criterion NN <name>: PASS|FAIL` line (bypassing
-capture so the line shows under plain `pytest -v`) and then asserts.
+Each criterion test prints one `criterion NN <name>: PASS|FAIL` line
+(bypassing capture so the line shows under plain `pytest -v`) and then
+asserts.
 """
 
 import math
@@ -51,7 +53,15 @@ from dee.sparse import power_diag_exact
 from dee.spectral import eig_sym, induced_measure, make_measure, moment
 from dee.verify import phase_mass_check
 
-from conftest import random_sparse_matrix, rotation_circuit, scale_matrix, total_variation
+from conftest import (
+    TWELVE_QUBIT_10_GATES,
+    TWELVE_QUBIT_6_GATES,
+    TWELVE_QUBIT_INPUT,
+    random_sparse_matrix,
+    rotation_circuit,
+    scale_matrix,
+    total_variation,
+)
 
 import dee.cli as cli
 
@@ -361,3 +371,20 @@ def test_criterion_12_determinism(tmp_path, capsys):
         ok = ok and serial == threaded
     report(capsys, 12, "determinism", ok)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "text, dim, m", [(TWELVE_QUBIT_6_GATES, 53_248, 2_197), (TWELVE_QUBIT_10_GATES, 86_016, 9_261)]
+)
+def test_reduce_at_twelve_qubits(text, dim, m, tmp_path, capsys):
+    """The CLI's `reduce` at 12 qubits: its exact diagonal meets the
+    closed-form prediction within 1e-8 b^m (here b = 1), as the benchmark
+    checks every reduction."""
+    circuit = tmp_path / "c.circ"
+    circuit.write_text(text)
+    rc = cli.main(["reduce", "--circuit", str(circuit), "--input", TWELVE_QUBIT_INPUT,
+                   "--out-matrix", str(tmp_path / "o.mat"), "--out-meta", str(tmp_path / "o.meta")])
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert rc == 0
+    assert (int(fields["n"]), int(fields["m"]), float(fields["b"])) == (dim, m, 1.0)
+    assert abs(float(fields["exact_diag"]) - float(fields["predicted_diag"])) <= 1e-8

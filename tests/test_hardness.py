@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dee.circuits import Circuit, build_mirror_circuit, h, rot, toffoli, x, z
+import dee.sparse
+from dee.circuits import Circuit, build_mirror_circuit, h, parse_circuit, rot, toffoli, x, z
 from dee.hardness import (
     ClockOperator,
     build_clock_operator,
@@ -21,6 +22,8 @@ from dee.hardness import (
     verify_induced_measure,
 )
 from dee.sparse import power_diag_exact
+
+from conftest import TWELVE_QUBIT_6_GATES, TWELVE_QUBIT_INPUT, connected_rows
 
 
 def rotation_gate_for(alpha_sq):
@@ -226,6 +229,20 @@ class TestReduce:
     def test_input_length_checked(self):
         with pytest.raises(ValueError):
             reduce(Circuit(n_qubits=1, gates=(x(0),)), "00")
+
+    def test_oracle_runs_on_the_component_of_j(self, monkeypatch):
+        """At 12 qubits j's component holds 52 of 53,248 rows; every one of
+        the oracle's m matvecs runs on that component and row 0 only."""
+        dee_inst = reduce(parse_circuit(TWELVE_QUBIT_6_GATES), TWELVE_QUBIT_INPUT).dee
+        a = dee_inst.matrix
+        component = connected_rows(a, dee_inst.j)
+        dims = []
+        matvec = dee.sparse.matvec
+        monkeypatch.setattr(dee.sparse, "matvec", lambda sub, v: dims.append(sub.dim) or matvec(sub, v))
+        power_diag_exact(a, dee_inst.j, dee_inst.m)
+        assert len(dims) == dee_inst.m == 2197
+        assert max(dims) <= len(component) + 1
+        assert 1000 * max(dims) < a.dim
 
 
 class TestVerifyInducedMeasure:

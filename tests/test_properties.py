@@ -1,5 +1,5 @@
 """Property tests: matrix construction, the matrix, graph and circuit file
-formats, clock assembly."""
+formats, clock assembly, the power oracle."""
 
 import math
 
@@ -24,7 +24,16 @@ from dee.circuits import (
 )
 from dee.gateset import H_THEN_PERM, LONE_H, PERM_THEN_H, UniformScaleGate, element_int_row
 from dee.hardness import ClockOperator, build_observable, clock_unitary_dense
-from dee.sparse import format_matrix, from_coordinate_list, parse_graph, parse_matrix
+from dee.sparse import (
+    format_matrix,
+    from_coordinate_list,
+    matvec,
+    parse_graph,
+    parse_matrix,
+    power_entry_exact,
+)
+
+from conftest import connected_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -321,3 +330,76 @@ def test_circuit_refuses_malformed_headers(c, header):
     body = format_circuit(c).splitlines()[1:]
     with pytest.raises(ValueError):
         parse_circuit("\n".join([header] + body) + "\n")
+
+
+def whole_matrix_power_entry(a, i, j, m):
+    """(A^m)_ij by m matvecs over all N rows, read at i, refused as the oracle refuses."""
+    v = np.zeros(a.dim)
+    v[j] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m):
+            v = matvec(a, v)
+    if not math.isfinite(v[i]):
+        raise ValueError(f"(A^{m})[{i}, {j}] = {v[i]} is outside the float range")
+    return float(v[i])
+
+
+def outcome(oracle, *args):
+    """The exact bits of an oracle's value, or its refusal text."""
+    try:
+        return float.hex(oracle(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def split_matrices(draw):
+    """Symmetric matrices whose graph falls apart: entries join only rows
+    with equal labels, rows differ in size (so some are padded), and a
+    diagonal entry may be 1e200, whose powers overflow."""
+    n = draw(st.integers(1, 10))
+    label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pairs = [(i, k) for i in range(n) for k in range(i, n) if label[i] == label[k]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    off_diagonal = st.floats(-2.0, 2.0)
+    diagonal = off_diagonal | st.sampled_from([1e200, -1e200])
+    return from_coordinate_list(n, [(i, k, draw(diagonal if i == k else off_diagonal)) for i, k in chosen])
+
+
+@SETTINGS
+@given(split_matrices(), st.integers(0, 12))
+def test_power_entry_matches_whole_matrix_iteration(a, m):
+    """Every entry of A^m, so j's component holds row 0 or not, i lies in it
+    or not, and i == j: the same bits or the same refusal as m matvecs over
+    all N rows.  Outside j's component the entry is exactly 0.0, where the
+    whole-matrix loop may instead refuse: an overflow that reaches row 0
+    spreads to every padded row through its padding slots' 0 * inf."""
+    for j in range(a.dim):
+        component = connected_rows(a, j)
+        for i in range(a.dim):
+            got = outcome(power_entry_exact, a, i, j, m)
+            want = outcome(whole_matrix_power_entry, a, i, j, m)
+            if i in component:
+                assert got == want
+            else:
+                assert got == float.hex(0.0)
+                assert want == got or 0 in component and want.startswith("ValueError")
+
+
+OVERFLOWING = [(0, 0, 1e200), (0, 1, 0.5), (2, 2, 1e200), (2, 3, -0.5)]
+
+
+@pytest.mark.parametrize("j", [0, 2])  # row 0 inside and outside j's component
+def test_power_entry_refuses_an_overflowing_diagonal(j):
+    a = from_coordinate_list(4, OVERFLOWING)
+    for m in (2, 3):
+        want = outcome(whole_matrix_power_entry, a, j, j, m)
+        assert want.startswith("ValueError") and outcome(power_entry_exact, a, j, j, m) == want
+
+
+def test_power_entry_outside_the_component_is_zero_past_an_overflow():
+    """A^3 e_0 holds inf at row 0 after two steps, so the whole-matrix loop's
+    third step reads 0 * inf in padded row 3 of the other component."""
+    a = from_coordinate_list(4, OVERFLOWING)
+    assert outcome(whole_matrix_power_entry, a, 3, 0, 3) == "ValueError: (A^3)[3, 0] = nan is outside the float range"
+    assert power_entry_exact(a, 3, 0, 3) == 0.0
