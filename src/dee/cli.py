@@ -11,6 +11,7 @@ verification check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -30,13 +31,13 @@ from dee.sparse import (
 )
 from dee.qpe import (
     MAX_STATEVECTOR_QUBITS,
+    EstimatorBackend,
     analytic_backend,
     choose_params,
     estimate_from_outcomes,
     estimate_offdiag,
     outcomes_to_z,
     sample_measurements,
-    statevector_backend,
 )
 from dee import hardness, gateset
 from dee.circuits import read_circuit_file
@@ -69,19 +70,13 @@ def _instance_digest(matrix_text: str, *fields) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _backend_from_args(args) -> object:
-    if args.backend == "statevector":
-        return statevector_backend(max_qubits=args.max_qubits)
-    return analytic_backend()
-
-
 def cmd_estimate(args) -> int:
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
     matrix = read_matrix_file(args.matrix, norm_bound=args.b)
     b = matrix.norm_bound
     params = choose_params(args.m, args.epsilon, args.fail_prob)
-    backend = _backend_from_args(args)
+    backend = EstimatorBackend(args.backend, args.max_qubits)
     tol = args.epsilon * power_scale(b, args.m)
     with_oracle = matrix.dim <= EXACT_ORACLE_MAX_DIM and args.m <= EXACT_ORACLE_MAX_M
     pairs: list[tuple[str, object]] = [
@@ -222,6 +217,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
+    if args.matrices < 1 or args.trials < 1:
+        raise ValueError(f"--matrices and --trials must be >= 1, got {args.matrices} and {args.trials}")
     checks = run_bound_checks(n_matrices=args.matrices, trials=args.trials, seed=args.seed)
     all_passed = True
     for c in checks:
@@ -263,6 +260,7 @@ def cmd_paths(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dee",

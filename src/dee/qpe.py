@@ -26,20 +26,22 @@ offsets around each atom.  Shots are drawn in blocks of 4,096, each block
 from its own Philox stream spawned from the seed, so the outcomes depend
 only on the seed and k.
 
-The analytic sampler takes its eigen-atoms from a K-step Lanczos run from
-psi over the sparse matrix, with no dense N x N array: the K-node Gauss
-rule of the measure psi induces on A/b, with K = max(ceil((m+1)/2),
-LANCZOS_MIN_STEPS) or fewer at Krylov exhaustion.  Its moments 0..2K-1 >= m
-equal those of the induced measure, so the moment guarantee is unchanged,
-but the outcomes follow the quadrature measure's law, not that of the full
-spectrum.  On a matrix of at most K rows the rule would be the induced
-measure itself, and the sampler takes that measure from the dense
-eigensolve instead, which at large N costs far less than N
-reorthogonalised Lanczos steps.  The |lambda| <= 1 refusal applies to the
-atoms sampled: past K rows to the quadrature nodes, which lie strictly
-inside the spectrum, so a b below the spectral norm passes whenever every
-node lies within it.  The estimate still meets its guarantee then, since
-the nodes lie in [-1, 1] and the moments through m are exact.
+The analytic sampler works on S, the rows within K steps of psi's support
+(`sparse.reach`), K = max(ceil((m+1)/2), LANCZOS_MIN_STEPS): the first K
+Krylov vectors live there, so nothing of size N is built.  Its eigen-atoms
+come from a K-step Lanczos run from psi: the K-node Gauss rule of the
+measure psi induces on A/b, or fewer nodes at Krylov exhaustion.  Its
+moments 0..2K-1 >= m equal those of the induced measure, so the moment
+guarantee is unchanged, but the outcomes follow the quadrature measure's
+law, not that of the full spectrum.  When S has at most K rows, the search
+has exhausted psi's components, the rule would be the induced measure
+itself, and the sampler takes that measure from the dense eigensolve on S
+instead, which costs far less than |S| reorthogonalised Lanczos steps.  The
+|lambda| <= 1 refusal applies to the atoms sampled: past K rows to the
+quadrature nodes, which lie strictly inside the spectrum, so a b below the
+spectral norm passes whenever every node lies within it.  The estimate
+still meets its guarantee then, since the nodes lie in [-1, 1] and the
+moments through m are exact.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dee.sparse import DeeDecision, DeeInstance, SparseSymmetricMatrix, decide
+from dee.sparse import DeeDecision, DeeInstance, SparseSymmetricMatrix, decide, reach
 from dee.spectral import SpectralMeasure, eig_sym, induced_measure, lanczos_tridiagonal
 
 _TWO_PI = 2.0 * math.pi
@@ -60,12 +62,13 @@ ANALYTIC = "analytic"
 # largest statevector qubit cap: past it the 2^p x N register array outgrows memory
 MAX_STATEVECTOR_QUBITS = 22
 
-# largest N the sampler accepts; the statevector backend, and the analytic one
-# on a matrix of at most K rows, build an N x N array
+# the analytic sampler's largest array, its K x |S| Lanczos basis or its
+# |S| x |S| dense matrix, holds at most MAX_DENSE_DIM**2 entries; the
+# statevector budget (p >= 12, at most 22 qubits) already caps N at 1,024
 MAX_DENSE_DIM = 4096
 
-# floor on the analytic sampler's Lanczos steps K (module docstring): on a
-# matrix of at most this many rows the sampled law is the full spectrum's
+# floor on the analytic sampler's Lanczos steps K (module docstring): when psi
+# reaches at most this many rows, the sampled law is the full spectrum's
 LANCZOS_MIN_STEPS = 32
 
 
@@ -252,9 +255,9 @@ def qpe_statevector(
     whose control bit is set by exp(iA)^(2^l), and the inverse Fourier
     transform over the register index is a length-T DFT.
     """
+    _check_statevector_budget(len(a_normalized), p, statevector_backend(max_qubits))
     decomp = eig_sym(a_normalized)
     dim = len(decomp.eigenvalues)
-    _check_statevector_budget(dim, p, statevector_backend(max_qubits))
     if float(np.max(np.abs(decomp.eigenvalues))) > 1.0 + 1e-9:
         raise ValueError("spectral norm exceeds 1; normalize by the norm bound first")
     psi = np.asarray(psi, dtype=np.complex128)
@@ -384,11 +387,13 @@ def sample_measurements(
     Shots are drawn in blocks of BLOCK_SHOTS, block i from the i-th Philox
     stream spawned from the seed, so the outcome array depends only on
     (seed, k): a block's outcomes do not depend on k.
-    Registers wider than MAX_SAMPLED_P bits and matrices past MAX_DENSE_DIM
-    rows are refused before any draw or dense array.  The analytic backend
-    samples the Lanczos Gauss rule of the module docstring, and builds A
-    densely only on a matrix of at most K rows; the statevector backend
-    always does.  Atoms of A/b outside [-1, 1] are refused: past K rows
+    Registers wider than MAX_SAMPLED_P bits are refused before any draw.
+    The analytic backend samples the Lanczos Gauss rule of the module
+    docstring on the rows S psi reaches in K steps, building A densely only
+    when S has at most K rows; it refuses a run whose Lanczos basis or dense
+    matrix would pass MAX_DENSE_DIM**2 entries before building either.  The
+    statevector backend always builds A densely, after its qubit budget
+    check.  Atoms of A/b outside [-1, 1] are refused: past K rows
     these are the rule's nodes, not the eigenvalues of A.
     """
     if backend is None:
@@ -398,8 +403,6 @@ def sample_measurements(
             f"register width p={params.p} exceeds the sampler limit p <= {MAX_SAMPLED_P} "
             "(outcomes must fit int64); use a larger epsilon or a smaller m"
         )
-    if matrix.dim > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {matrix.dim} exceeds the sampler's dense limit N <= {MAX_DENSE_DIM}")
     if backend.variant == STATEVECTOR:
         _check_statevector_budget(matrix.dim, params.p, backend)
         cdf = np.cumsum(qpe_statevector(matrix.to_dense() / b, psi, params.p, backend.max_qubits))
@@ -409,13 +412,17 @@ def sample_measurements(
 
     else:
         steps = max(params.m // 2 + 1, LANCZOS_MIN_STEPS)  # 2K - 1 >= m
-        if steps < matrix.dim:
-            tri = lanczos_tridiagonal(matrix, psi, steps)
+        sub, rows = reach(matrix, np.flatnonzero(psi), steps)
+        built = min(steps, sub.dim)  # rows of the Lanczos basis, or of the dense matrix
+        if built * sub.dim > MAX_DENSE_DIM**2:
+            raise ValueError(f"the sampler's {built} x {sub.dim} array exceeds {MAX_DENSE_DIM}^2 entries")
+        if steps < sub.dim:
+            tri = lanczos_tridiagonal(sub, psi[rows], steps)
             e_1 = np.zeros(len(tri))
             e_1[0] = 1.0
             measure = induced_measure(eig_sym(tri / b), e_1)
-        else:  # K >= N: the rule would be the induced measure, cheaper densely
-            measure = induced_measure(eig_sym(matrix.to_dense() / b), psi)
+        else:  # K >= |S|: the rule would be the induced measure, cheaper densely
+            measure = induced_measure(eig_sym(sub.to_dense() / b), psi[rows])
         phases = _eigenphases(measure)
         cdf = np.cumsum(measure.weights)
 
@@ -437,18 +444,6 @@ def estimate_from_outcomes(a_values: np.ndarray, params: QpeParams, b: float) ->
     return float(np.sum(zm)) / len(a_values) * b**params.m
 
 
-def _estimate_moment(
-    matrix: SparseSymmetricMatrix,
-    b: float,
-    psi: np.ndarray,
-    params: QpeParams,
-    backend: EstimatorBackend | None,
-    seed: int | tuple,
-) -> float:
-    a_values = sample_measurements(matrix, b, psi, params, backend, seed)
-    return estimate_from_outcomes(a_values, params, b)
-
-
 def estimate_diag(
     instance: DeeInstance,
     params: QpeParams,
@@ -467,8 +462,8 @@ def estimate_diag(
         )
     psi = np.zeros(instance.matrix.dim)
     psi[instance.j] = 1.0
-    estimate = _estimate_moment(instance.matrix, instance.b, psi, params, backend, seed)
-    return decide(estimate, instance.g)
+    outcomes = sample_measurements(instance.matrix, instance.b, psi, params, backend, seed)
+    return decide(estimate_from_outcomes(outcomes, params, instance.b), instance.g)
 
 
 def estimate_offdiag(
@@ -494,16 +489,14 @@ def estimate_offdiag(
         raise ValueError(f"params.m={params.m} does not match m={m}")
     sub = choose_params(m, params.epsilon / 2.0, params.fail_prob)
     b = matrix.norm_bound
-    inv = 1.0 / math.sqrt(2.0)
-    psi_plus = np.zeros(matrix.dim)
-    psi_plus[i] = inv
-    psi_plus[j] = inv
-    psi_minus = np.zeros(matrix.dim)
-    psi_minus[i] = inv
-    psi_minus[j] = -inv
+    psi = np.zeros((2, matrix.dim))  # rows psi+ and psi-
+    psi[:, i] = 1.0 / math.sqrt(2.0)
+    psi[:, j] = psi[:, i] * (1.0, -1.0)
     base = seed if isinstance(seed, tuple) else (seed,)
-    e_plus = _estimate_moment(matrix, b, psi_plus, sub, backend, base + (0,))
-    e_minus = _estimate_moment(matrix, b, psi_minus, sub, backend, base + (1,))
+    e_plus, e_minus = (
+        estimate_from_outcomes(sample_measurements(matrix, b, psi[k], sub, backend, base + (k,)), sub, b)
+        for k in (0, 1)
+    )
     return (e_plus - e_minus) / 2.0
 
 

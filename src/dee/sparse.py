@@ -6,11 +6,12 @@ then padding slots with column 0 and value 0.0.  Both triangles are stored,
 so a matvec is s vectorised passes over the slots.  `from_coordinate_arrays`
 is the only code that builds this layout.  Powers are never formed; (A^m)_ij
 is m sparse matvecs from e_j followed by reading one coordinate, which is
-the oracle the estimator and the reductions are checked against.  The
-matvecs run only on the rows of j's connected component C, found by one
-BFS, so the oracle costs O(m * |C| * s), not O(m * N * s): a reduction puts
-j in a component of tens to hundreds of rows of a clock matrix of tens of
-thousands.
+the oracle the estimator and the reductions are checked against.  `reach`
+restricts every sparse iteration to the rows its start vector can touch:
+within k steps, A^k e_j and the k-th Krylov vector live on the rows at most
+k steps from j.  So the oracle costs O(m * |S| * s), not O(m * N * s), S
+being the rows within m steps of j: a reduction puts j in a component of
+tens to hundreds of rows of a clock matrix of tens of thousands.
 """
 
 from __future__ import annotations
@@ -215,33 +216,47 @@ def power_diag_exact(a: SparseSymmetricMatrix, j: int, m: int) -> float:
     return power_entry_exact(a, j, j, m)
 
 
-def _component(a: SparseSymmetricMatrix, j: int, levels: int) -> np.ndarray | None:
-    """Mask of the rows connected to j through nonzero entries, found by a
-    frontier BFS; None when a frontier is still open after `levels` steps."""
+def reach(a: SparseSymmetricMatrix, seeds, levels: int) -> tuple[SparseSymmetricMatrix, np.ndarray]:
+    """(sub, rows): the principal submatrix of A on the rows within `levels`
+    steps of `seeds` plus row 0, which every padding slot reads, and those
+    rows of A in ascending order.
+
+    One frontier BFS over the nonzero entries finds the rows.  Columns that
+    leave them become padding slots (column 0, value 0.0), whether or not
+    the search exhausted the seeds' components; the remap is monotone, so
+    slot order survives.  A vector supported within k < `levels` steps of
+    the seeds is zero on every column cut away, so the first `levels`
+    matvecs from the seeds, and a Krylov space of that many steps, miss
+    nothing.
+    """
     seen = np.zeros(a.dim, dtype=bool)
-    seen[j] = True
-    frontier = np.array([j])
+    seen[seeds] = True
+    frontier = np.flatnonzero(seen)
     for _ in range(levels):
         step = a.cols[frontier][a.vals[frontier] != 0.0]
         step = np.sort(step[~seen[step]])
         frontier = step[np.diff(step, prepend=-1) != 0]  # np.unique would import numpy.ma
         if not frontier.size:
-            return seen
+            break
         seen[frontier] = True
-    return None
+    seen[0] = True
+    rows = np.flatnonzero(seen)
+    cols = a.cols[rows]
+    inside = seen[cols]
+    sub_cols = np.where(inside, np.cumsum(seen)[cols] - 1, 0)
+    return SparseSymmetricMatrix(rows.size, sub_cols, np.where(inside, a.vals[rows], 0.0), a.norm_bound), rows
 
 
 def power_entry_exact(a: SparseSymmetricMatrix, i: int, j: int, m: int) -> float:
     """(A^m)_ij by m sparse matvecs from e_j; ValueError if it leaves the float range.
 
-    The matvecs run on the principal submatrix of S = C + {0}, C being j's
-    connected component: cost O(m * |C| * s) plus one BFS, not O(m * N * s).
-    That gives the floats of the whole-matrix iteration bit for bit: rows of
-    C read only columns in C (A is symmetric), padding slots still read
-    coordinate 0, and the rows left out hold +0.0, whose terms leave each
-    Kahan sum unchanged.  An i outside C gives exactly 0.0.  When the BFS
-    has not exhausted C within m steps, S is all N rows, so it never takes
-    more steps than the m matvecs it would save.
+    The matvecs run on `reach(a, j, m)`: cost O(m * |S| * s) plus one BFS,
+    not O(m * N * s).  That gives the floats of the whole-matrix iteration
+    bit for bit: A^k e_j for k < m is zero on every column cut away, padding
+    slots still read coordinate 0, and a zero term leaves a Kahan sum the
+    same whatever its sign.  An i more than m steps from j gives exactly 0.0,
+    even where an overflow that reaches row 0 spreads a 0 * inf NaN there
+    through the padding slots of the whole-matrix loop.
     """
     if not 0 <= i < a.dim:
         raise ValueError(f"index {i} out of range for dimension {a.dim}")
@@ -249,24 +264,15 @@ def power_entry_exact(a: SparseSymmetricMatrix, i: int, j: int, m: int) -> float
         raise ValueError(f"index {j} out of range for dimension {a.dim}")
     if m < 0:
         raise ValueError(f"power must be >= 0, got {m}")
-    local_i, local_j = i, j
-    reach = _component(a, j, m)
-    if reach is not None:
-        if not reach[i]:
-            return 0.0
-        reach[0] = True  # padding slots read coordinate 0
-        rows = np.flatnonzero(reach)
-        cols = a.cols[rows]
-        inside = reach[cols]  # false only in row 0, when 0 lies outside C
-        # columns outside S become padding; the remap is monotone, so slot order survives
-        sub_cols = np.where(inside, np.searchsorted(rows, cols), 0)
-        a = SparseSymmetricMatrix(rows.size, sub_cols, np.where(inside, a.vals[rows], 0.0), a.norm_bound)
-        local_i, local_j = np.searchsorted(rows, (i, j)).tolist()
-    v = np.zeros(a.dim)
+    sub, rows = reach(a, j, m)
+    if i not in rows:
+        return 0.0
+    local_i, local_j = np.searchsorted(rows, (i, j)).tolist()
+    v = np.zeros(sub.dim)
     v[local_j] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for _ in range(m):
-            v = matvec(a, v)
+            v = matvec(sub, v)
     if not math.isfinite(v[local_i]):
         raise ValueError(f"(A^{m})[{i}, {j}] = {v[local_i]} is outside the float range")
     return float(v[local_i])

@@ -76,14 +76,14 @@ TWELVE_QUBIT_6_GATES = "QUBITS 12\nROT 0 0.4\nCNOT 0 1\nTOFF 1 2 3\nH 4\nX 5\nCN
 TWELVE_QUBIT_10_GATES = TWELVE_QUBIT_6_GATES + "H 7\nTOFF 4 7 8\nZ 8\nROT 9 1.3\n"
 
 
-def connected_rows(a, j):
-    """The rows reachable from j through nonzero entries, by a Python search."""
-    reached, todo = {j}, [j]
-    while todo:
-        for col, _ in a.row(todo.pop()):
-            if col not in reached:
-                reached.add(col)
-                todo.append(col)
+def connected_rows(a, j, levels=math.inf):
+    """The rows reachable from j through nonzero entries within `levels`
+    steps (any number by default), by a Python breadth-first search."""
+    reached, frontier, level = {j}, {j}, 0
+    while frontier and level < levels:
+        frontier = {col for row in frontier for col, _ in a.row(row)} - reached
+        reached |= frontier
+        level += 1
     return reached
 
 

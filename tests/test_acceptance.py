@@ -388,3 +388,27 @@ def test_reduce_at_twelve_qubits(text, dim, m, tmp_path, capsys):
     assert rc == 0
     assert (int(fields["n"]), int(fields["m"]), float(fields["b"])) == (dim, m, 1.0)
     assert abs(float(fields["exact_diag"]) - float(fields["predicted_diag"])) <= 1e-8
+
+
+@pytest.mark.parametrize("text", [TWELVE_QUBIT_6_GATES, TWELVE_QUBIT_10_GATES])
+def test_round_trip_at_twelve_qubits(text, tmp_path, capsys):
+    """The paper's loop at 12 qubits: `reduce` a circuit, then `estimate` the
+    diagonal entry from shots at the instance's own (j, m, g, eps) and b = 1.
+    The estimate lies within eps of the exact diagonal, and where the
+    promise holds the decision lands on the side of the circuit's verdict."""
+    circuit = tmp_path / "c.circ"
+    circuit.write_text(text)
+
+    def run(argv):
+        rc = cli.main(argv)
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert rc == 0
+        return fields
+
+    red = run(["reduce", "--circuit", str(circuit), "--input", TWELVE_QUBIT_INPUT,
+               "--out-matrix", str(tmp_path / "o.mat"), "--out-meta", str(tmp_path / "o.meta")])
+    instance = [arg for key in ("j", "m", "g", "epsilon") for arg in (f"--{key}", red[key])]
+    est = run(["estimate", "--matrix", str(tmp_path / "o.mat"), *instance, "--b", "1.0"])
+    assert abs(float(est["estimate"]) - float(red["exact_diag"])) <= float(red["epsilon"])
+    if red["promise_holds"] == "True":
+        assert (est["decision"] == "BelowG") == (red["verdict"] == "accept")

@@ -192,11 +192,28 @@ class TestSizeLimits:
     allocated; the limits are lowered so the inputs stay small."""
 
     def test_dense_sampler_limit(self, triangle_file, capsys, monkeypatch):
+        # e_0 reaches all 3 rows, K = 32 >= 3: the dense 3 x 3 matrix has 9 > 2^2 entries
         monkeypatch.setattr("dee.qpe.MAX_DENSE_DIM", 2)
         monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
         rc = main(["estimate", "--matrix", triangle_file, "--j", "0", "--m", "2", "--epsilon", "0.5"])
         assert rc == 1
-        assert "error: dimension 3 exceeds the sampler's dense limit N <= 2" in capsys.readouterr().err
+        assert "error: the sampler's 3 x 3 array exceeds 2^2 entries" in capsys.readouterr().err
+
+    def test_statevector_limit(self, tmp_path, capsys, monkeypatch):
+        """The statevector backend refuses N > 4,096 (its qubit budget caps N
+        at 1,024) before forming the N x N matrix; the analytic backend runs
+        on the one row e_0 reaches."""
+        n = 4097
+        path = tmp_path / "diagonal.mat"
+        path.write_text(f"{n} {n}\n" + "".join(f"{i} {i} 0.5\n" for i in range(n)))
+        argv = ["estimate", "--matrix", str(path), "--j", "0", "--m", "2", "--epsilon", "0.5", "--backend"]
+        monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
+        assert main(argv + ["statevector"]) == 1
+        err = capsys.readouterr().err
+        assert "error: statevector backend needs p + ceil(log2 N) = 16 + 13 qubits, over the cap 22" in err
+        monkeypatch.undo()
+        assert main(argv + ["analytic"]) == 0
+        assert report_dict(capsys.readouterr().out)["n"] == "4097"
 
     def test_matrix_header_limit(self, triangle_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dee.sparse.MAX_DIM", 2)
@@ -226,6 +243,13 @@ class TestSizeLimits:
         assert "error: max_qubits must lie in 1..4, got 5" in capsys.readouterr().err
         assert main(argv + ["4"]) == 1  # a cap within range reaches the budget check
         assert "over the cap 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_qubit_cap_checked_under_either_backend(self, backend, triangle_file, capsys):
+        rc = main(["estimate", "--matrix", triangle_file, "--j", "0", "--m", "2", "--epsilon", "0.5",
+                   "--backend", backend, "--max-qubits", "99"])
+        assert rc == 1
+        assert "error: max_qubits must lie in 1..22, got 99" in capsys.readouterr().err
 
 
 class TestExact:
@@ -339,6 +363,15 @@ class TestVerifyBounds:
         assert rc == 0
         assert out.strip().endswith("verify-bounds: PASS")
 
+    @pytest.mark.parametrize("matrices, trials", [("0", "4"), ("2", "-3")])
+    def test_empty_battery_refused(self, matrices, trials, capsys):
+        """A battery with nothing in it would print PASS lines for 0.0."""
+        rc = main(["verify-bounds", "--matrices", matrices, "--trials", trials])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"error: --matrices and --trials must be >= 1, got {matrices} and {trials}" in captured.err
+
 
 class TestPaths:
     def test_triangle_walks(self, tmp_path, capsys):
@@ -387,7 +420,7 @@ class TestPathsRefusesBeforeOracle:
         monkeypatch.setattr("dee.qpe.MAX_DENSE_DIM", 2)
         rc = main(["paths", "--graph", self.graph(tmp_path, TRIANGLE_GRAPH), "--j", "0", "--m", "1000"])
         assert rc == 1
-        assert "error: dimension 3 exceeds the sampler's dense limit N <= 2" in capsys.readouterr().err
+        assert "error: the sampler's 3 x 3 array exceeds 2^2 entries" in capsys.readouterr().err
         assert oracle_calls == []
 
     def test_register_past_int64(self, tmp_path, capsys, oracle_calls):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dee.sparse
+import dee.spectral
 from dee.circuits import Circuit, build_mirror_circuit, h, parse_circuit, rot, toffoli, x, z
 from dee.hardness import (
     ClockOperator,
@@ -21,9 +22,10 @@ from dee.hardness import (
     symmetric_overlap,
     verify_induced_measure,
 )
-from dee.sparse import power_diag_exact
+from dee.qpe import LANCZOS_MIN_STEPS, choose_params, sample_measurements
+from dee.sparse import SparseSymmetricMatrix, power_diag_exact
 
-from conftest import TWELVE_QUBIT_6_GATES, TWELVE_QUBIT_INPUT, connected_rows
+from conftest import TWELVE_QUBIT_10_GATES, TWELVE_QUBIT_6_GATES, TWELVE_QUBIT_INPUT, connected_rows
 
 
 def rotation_gate_for(alpha_sq):
@@ -243,6 +245,28 @@ class TestReduce:
         assert len(dims) == dee_inst.m == 2197
         assert max(dims) <= len(component) + 1
         assert 1000 * max(dims) < a.dim
+
+    @pytest.mark.parametrize("m", [4, 9261])  # K = 32 Lanczos steps on 337 rows; a dense 337 x 337
+    def test_sampler_runs_on_the_reach_of_j(self, m, monkeypatch):
+        """At 12 qubits and 10 gates (86,016 rows), every matvec and dense
+        matrix of the analytic sampler has at most |R| + 1 rows, R being the
+        rows within K steps of j."""
+        dee_inst = reduce(parse_circuit(TWELVE_QUBIT_10_GATES), TWELVE_QUBIT_INPUT).dee
+        a = dee_inst.matrix
+        near = connected_rows(a, dee_inst.j, max(m // 2 + 1, LANCZOS_MIN_STEPS))
+        dims = []
+
+        def counted(fn):
+            return lambda sub, *args: dims.append(sub.dim) or fn(sub, *args)
+
+        monkeypatch.setattr(dee.spectral, "matvec", counted(dee.spectral.matvec))
+        monkeypatch.setattr(SparseSymmetricMatrix, "to_dense", counted(SparseSymmetricMatrix.to_dense))
+        psi = np.zeros(a.dim)
+        psi[dee_inst.j] = 1.0
+        sample_measurements(a, dee_inst.b, psi, choose_params(m, 1.0, 0.05), seed=1)
+        assert dims
+        assert max(dims) <= len(near) + 1
+        assert 100 * max(dims) < a.dim
 
 
 class TestVerifyInducedMeasure:

@@ -356,10 +356,16 @@ def outcome(oracle, *args):
 def split_matrices(draw):
     """Symmetric matrices whose graph falls apart: entries join only rows
     with equal labels, rows differ in size (so some are padded), and a
-    diagonal entry may be 1e200, whose powers overflow."""
+    diagonal entry may be 1e200, whose powers overflow.  A chain-shaped
+    matrix joins only neighbouring rows of sorted labels, so its components
+    are paths, which m steps from j need not exhaust."""
     n = draw(st.integers(1, 10))
     label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    pairs = [(i, k) for i in range(n) for k in range(i, n) if label[i] == label[k]]
+    chain = draw(st.booleans())
+    if chain:
+        label.sort()
+    ends = [min(n, i + 2) if chain else n for i in range(n)]
+    pairs = [(i, k) for i in range(n) for k in range(i, ends[i]) if label[i] == label[k]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
     off_diagonal = st.floats(-2.0, 2.0)
     diagonal = off_diagonal | st.sampled_from([1e200, -1e200])
@@ -369,21 +375,21 @@ def split_matrices(draw):
 @SETTINGS
 @given(split_matrices(), st.integers(0, 12))
 def test_power_entry_matches_whole_matrix_iteration(a, m):
-    """Every entry of A^m, so j's component holds row 0 or not, i lies in it
-    or not, and i == j: the same bits or the same refusal as m matvecs over
-    all N rows.  Outside j's component the entry is exactly 0.0, where the
-    whole-matrix loop may instead refuse: an overflow that reaches row 0
-    spreads to every padded row through its padding slots' 0 * inf."""
+    """Every entry of A^m, so j's m-step reach holds row 0 or not, i lies in
+    it or not, and i == j: the same bits or the same refusal as m matvecs
+    over all N rows.  More than m steps from j the entry is exactly 0.0,
+    where the whole-matrix loop may instead refuse: an overflow that reaches
+    row 0 spreads to every padded row through its padding slots' 0 * inf."""
     for j in range(a.dim):
-        component = connected_rows(a, j)
+        near = connected_rows(a, j, m)
         for i in range(a.dim):
             got = outcome(power_entry_exact, a, i, j, m)
             want = outcome(whole_matrix_power_entry, a, i, j, m)
-            if i in component:
+            if i in near:
                 assert got == want
             else:
                 assert got == float.hex(0.0)
-                assert want == got or 0 in component and want.startswith("ValueError")
+                assert want == got or 0 in near and want.startswith("ValueError")
 
 
 OVERFLOWING = [(0, 0, 1e200), (0, 1, 0.5), (2, 2, 1e200), (2, 3, -0.5)]
@@ -395,6 +401,15 @@ def test_power_entry_refuses_an_overflowing_diagonal(j):
     for m in (2, 3):
         want = outcome(whole_matrix_power_entry, a, j, j, m)
         assert want.startswith("ValueError") and outcome(power_entry_exact, a, j, j, m) == want
+
+
+def test_padding_slots_read_row_zero_outside_the_reach():
+    """Row 0 joins every reach, so padded row 3 reads row 0's +0.0, not the
+    first row reached from j = 1, whose powers overflow: (A^3)[3, 1] stays
+    finite."""
+    a = from_coordinate_list(4, [(1, 1, 1e200), (1, 2, 1.0), (2, 3, 1.0)])
+    want = outcome(whole_matrix_power_entry, a, 3, 1, 3)
+    assert not want.startswith("ValueError") and outcome(power_entry_exact, a, 3, 1, 3) == want
 
 
 def test_power_entry_outside_the_component_is_zero_past_an_overflow():

@@ -522,6 +522,22 @@ def _path_with_far_peak(n):
     return from_coordinate_list(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(n - 1, n - 1, 10.0)])
 
 
+class TestArrayLimit:
+    @pytest.mark.parametrize("m, shape", [(8192, "4097 x 4098"), (8400, "4200 x 4200")])
+    def test_array_past_the_limit_is_refused_before_it_is_built(self, m, shape, monkeypatch):
+        """On a 4,200-row path, e_0 reaches 4,098 rows in K = 4,097 steps and
+        all of them in K = 4,201: a Lanczos basis or a dense matrix, each with
+        more than 4,096^2 entries."""
+        n = 4200
+        a = from_coordinate_list(n, [(i, i + 1, 0.5) for i in range(n - 1)])
+        monkeypatch.setattr("dee.qpe.lanczos_tridiagonal", None)
+        monkeypatch.setattr("dee.sparse.SparseSymmetricMatrix.to_dense", None)
+        psi = np.zeros(n)
+        psi[0] = 1.0
+        with pytest.raises(ValueError, match=f"the sampler's {shape} array exceeds 4096\\^2 entries"):
+            sample_measurements(a, 1.0, psi, choose_params(m, 1.0, 0.05))
+
+
 class TestNormBoundRefusal:
     """The |lambda| <= b refusal applies to the atoms sampled: past K rows,
     to the Lanczos nodes, not to the spectrum of A."""
