@@ -26,8 +26,10 @@ from dee.sparse import (
     power_diag_exact,
     power_entry_exact,
     power_scale,
+    reach,
     read_graph_file,
     read_matrix_file,
+    upper_triangle,
 )
 from dee.qpe import (
     MAX_STATEVECTOR_QUBITS,
@@ -43,9 +45,13 @@ from dee import hardness, gateset
 from dee.circuits import read_circuit_file
 from dee.verify import run_bound_checks
 
-# estimate reports the exact value only while the oracle's m matvecs on N rows stay cheap
-EXACT_ORACLE_MAX_DIM = 128
-EXACT_ORACLE_MAX_M = 4096
+# estimate reports the exact value only while the oracle's work stays within
+# EXACT_ORACLE_MAX_WORK row-slots: m matvecs, each s slot passes over the |S|
+# rows within m steps of j, a pass costing as much again as SLOT_PASS_ROWS
+# rows (numpy call overhead).  At the 9-10 ns per row-slot of a 2-vCPU VM the
+# bound is about 1 s of oracle.
+EXACT_ORACLE_MAX_WORK = 10**8
+SLOT_PASS_ROWS = 500
 WORKERS_HELP = "accepted and validated; sampling runs on one thread, output is invariant"
 
 
@@ -65,9 +71,26 @@ def _emit(pairs: list[tuple[str, object]], report_path: str | None) -> None:
             fh.write(text)
 
 
-def _instance_digest(matrix_text: str, *fields) -> str:
-    blob = matrix_text + "|" + "|".join(_fmt(f) for f in fields)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _instance_digest(matrix, *fields) -> str:
+    """sha256 of dim, the upper-triangle (i, j, value) as <i8/<i8/<f8 records
+    by row then column, and the '|'-joined fields; its first 16 hex digits."""
+    i, j, v = upper_triangle(matrix)
+    entries = np.empty(i.size, dtype=[("i", "<i8"), ("j", "<i8"), ("v", "<f8")])
+    entries["i"], entries["j"], entries["v"] = i, j, v
+    digest = hashlib.sha256(np.array(matrix.dim, dtype="<i8").tobytes())
+    digest.update(entries.tobytes())
+    digest.update(("|" + "|".join(_fmt(f) for f in fields)).encode())
+    return digest.hexdigest()[:16]
+
+
+def _oracle_affordable(matrix, j: int, m: int) -> bool:
+    """Whether m * s * (|S| + SLOT_PASS_ROWS) <= EXACT_ORACLE_MAX_WORK, S being
+    the rows within m steps of j; the zero matrix (s = 0) counts one pass."""
+    passes = m * max(matrix.max_row_nnz, 1)
+    if passes * SLOT_PASS_ROWS > EXACT_ORACLE_MAX_WORK:  # too much whatever S is: no search
+        return False
+    _, rows = reach(matrix, j, m)
+    return passes * (rows.size + SLOT_PASS_ROWS) <= EXACT_ORACLE_MAX_WORK
 
 
 def cmd_estimate(args) -> int:
@@ -78,7 +101,6 @@ def cmd_estimate(args) -> int:
     params = choose_params(args.m, args.epsilon, args.fail_prob)
     backend = EstimatorBackend(args.backend, args.max_qubits)
     tol = args.epsilon * power_scale(b, args.m)
-    with_oracle = matrix.dim <= EXACT_ORACLE_MAX_DIM and args.m <= EXACT_ORACLE_MAX_M
     pairs: list[tuple[str, object]] = [
         ("command", "estimate"),
         ("matrix", args.matrix),
@@ -91,7 +113,8 @@ def cmd_estimate(args) -> int:
             raise ValueError("--samples-csv applies to diagonal runs only")
         estimate = estimate_offdiag(matrix, args.i, args.j, args.m, params, backend, seed=args.seed)
         pairs.append(("i", args.i))
-        exact = power_entry_exact(matrix, args.i, args.j, args.m) if with_oracle else None
+        affordable = _oracle_affordable(matrix, args.j, args.m)
+        exact = power_entry_exact(matrix, args.i, args.j, args.m) if affordable else None
         decision = None
     else:
         instance = DeeInstance(
@@ -107,15 +130,15 @@ def cmd_estimate(args) -> int:
                 f"{int(a)},{float(zv)!r},{float(zmv)!r}" for a, zv, zmv in zip(outcomes, z, zm)
             )
             files.append((args.samples_csv, "\n".join(rows) + "\n"))
-        exact = power_diag_exact(matrix, args.j, args.m) if with_oracle else None
-    matrix_text = format_matrix(matrix)
+        affordable = _oracle_affordable(matrix, args.j, args.m)
+        exact = power_diag_exact(matrix, args.j, args.m) if affordable else None
     pairs.extend(
         [
             ("m", args.m),
             ("g", args.g),
             ("epsilon", args.epsilon),
             ("b", b),
-            ("instance_hash", _instance_digest(matrix_text, args.i, args.j, args.m, args.g, args.epsilon, b)),
+            ("instance_hash", _instance_digest(matrix, args.i, args.j, args.m, args.g, args.epsilon, b)),
             ("backend", args.backend),
             ("seed", args.seed),
             ("p", params.p),

@@ -12,13 +12,24 @@ within k steps, A^k e_j and the k-th Krylov vector live on the rows at most
 k steps from j.  So the oracle costs O(m * |S| * s), not O(m * N * s), S
 being the rows within m steps of j: a reduction puts j in a component of
 tens to hundreds of rows of a clock matrix of tens of thousands.
+
+Matrix and graph text is read by one `np.loadtxt` pass straight into
+int64/int64/float64 columns, after the header's N has passed `check_dim`.
+The only Python-level walk over the lines is `_refuse`, which runs on a text
+that pass refused and raises the error naming its first bad line.
+`format_matrix` spells each distinct value once with repr and writes the
+text with one %-format.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -166,8 +177,12 @@ def from_coordinate_list(
         i, j = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
     except OverflowError as exc:
         raise ValueError(f"entry index out of range for dimension {n}") from exc
-    vals = np.array([e[2] for e in entries], dtype=np.float64)
-    off = i != j  # mirror the off-diagonal entries
+    return _from_pairs(n, i, j, np.array([e[2] for e in entries], dtype=np.float64), norm_bound)
+
+
+def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, vals: np.ndarray, norm_bound) -> SparseSymmetricMatrix:
+    """`from_coordinate_arrays` on one entry per unordered pair, the off-diagonal ones mirrored."""
+    off = i != j
     rows, cols = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
     return from_coordinate_arrays(n, rows, cols, np.concatenate([vals, vals[off]]), norm_bound)
 
@@ -334,7 +349,8 @@ def decide(estimate: float, g: float) -> DeeDecision:
 #
 # matrix file: first data line "N NNZ", then NNZ lines "i j value" with
 # 0 <= i <= j < N.  graph file: first data line "N M", then M lines "u v".
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment; blank lines are ignored.  Numbers are ASCII decimal
+# tokens, integers within int64, and lines end in \n or \r\n.
 # ---------------------------------------------------------------------------
 
 
@@ -347,58 +363,155 @@ def data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _counted_body(text: str, kind: str, header_form: str, items: str) -> tuple[int, list]:
-    """(N, body lines) of a file whose header 'N COUNT' promises COUNT body lines."""
-    lines = data_lines(text)
-    if not lines:
-        raise ValueError(f"{kind} text has no data lines")
-    lineno, header = lines[0]
-    parts = header.split()
+@dataclass(frozen=True)
+class _Table:
+    """One counted text format: a header 'N COUNT', then COUNT body lines."""
+
+    kind: str
+    header: str
+    items: str
+    line: str
+    item: str
+    columns: list
+
+
+_MATRIX = _Table("matrix", "N NNZ", "entries", "i j value", "entry",
+                 [("i", "<i8"), ("j", "<i8"), ("v", "<f8")])
+_GRAPH = _Table("graph", "N M", "edges", "u v", "edge", [("u", "<i8"), ("v", "<i8")])
+
+# a line break of str.splitlines other than \n and \r\n; np.loadtxt would
+# read the first six as blanks inside a line
+_ODD_BREAK = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]|\r(?!\n)")
+
+
+def _odd_break(text: str) -> bool:
+    if text.isascii() and "\r" not in text:  # str.__contains__ runs at memchr speed
+        return any(c in text for c in "\x0b\x0c\x1c\x1d\x1e")
+    return _ODD_BREAK.search(text) is not None
+
+
+def _lines(text: str):
+    r"""(line number, content without comment or surrounding blanks, offset past
+    the line) of every line with data; lines end at \n."""
+    start, lineno = 0, 1
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, end + 1
+        start, lineno = end + 1, lineno + 1
+
+
+def _token(convert, token: str):
+    """int(token) or float(token), for the spellings np.loadtxt also reads."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII decimal number: {token!r}")
+    value = convert(token)
+    if convert is int and not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{token} is outside int64")
+    return value
+
+
+def _header(fmt: _Table, lineno: int, line: str) -> tuple[int, int]:
+    parts = line.split()
     if len(parts) != 2:
-        raise ValueError(f"line {lineno}: expected header {header_form!r}, got {header!r}")
+        raise ValueError(f"line {lineno}: expected header {fmt.header!r}, got {line!r}")
     try:
-        n, count = int(parts[0]), int(parts[1])
+        return _token(int, parts[0]), _token(int, parts[1])
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: bad header {header!r}") from exc
+        raise ValueError(f"line {lineno}: bad header {line!r}") from exc
+
+
+def _refuse(fmt: _Table, text: str) -> NoReturn:
+    """Raise the ValueError that names what is wrong with a text `_read_table`
+    refused: the first odd line break, else the first failing check of a
+    line-by-line parse, in that parse's order and words."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if _ODD_BREAK.search(raw.removesuffix("\r")):
+            raise ValueError(f"line {lineno}: line break other than \\n or \\r\\n")
+    lines = list(_lines(text))
+    if not lines:
+        raise ValueError(f"{fmt.kind} text has no data lines")
+    _, count = _header(fmt, *lines[0][:2])
     body = lines[1:]
     if len(body) != count:
-        raise ValueError(f"header promises {count} {items} but {len(body)} data lines follow")
+        raise ValueError(f"header promises {count} {fmt.items} but {len(body)} data lines follow")
+    for lineno, line, _ in body:
+        parts = line.split()
+        if len(parts) != len(fmt.columns):
+            raise ValueError(f"line {lineno}: expected {fmt.line!r}, got {line!r}")
+        try:
+            values = [_token(int if dtype == "<i8" else float, part)
+                      for part, (_, dtype) in zip(parts, fmt.columns)]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad {fmt.item} {line!r}") from exc
+        if fmt is _MATRIX and values[0] > values[1]:
+            raise ValueError(f"line {lineno}: entries must have i <= j, got ({values[0]}, {values[1]})")
+    raise ValueError(f"{fmt.kind} text could not be read")
+
+
+def _read_table(fmt: _Table, text: str) -> tuple[int, np.ndarray]:
+    r"""(N, body): the header and the body lines of a text as one structured
+    array with fmt's columns, read by one C-level `np.loadtxt` pass.
+
+    N is checked against MAX_DIM before the body is read.  A text the pass
+    refuses, or one with a line break other than \n or \r\n, goes to
+    `_refuse`, which names its first bad line.
+    """
+    if _odd_break(text):
+        _refuse(fmt, text)
+    lineno, line, offset = next(_lines(text), (0, "", 0))
+    if not line:
+        raise ValueError(f"{fmt.kind} text has no data lines")
+    n, count = _header(fmt, lineno, line)
+    check_dim(n)
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" into an int column with only a DeprecationWarning
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # zero rows
+            # bytes, since a StringIO holds 4 bytes per character (280 MB at MAX_DIM rows)
+            body = np.loadtxt(io.BytesIO(text[offset:].encode()), dtype=fmt.columns, comments="#",
+                              ndmin=1, encoding="utf-8")
+    except (ValueError, DeprecationWarning):
+        _refuse(fmt, text)
+    if body.size != count:
+        raise ValueError(f"header promises {count} {fmt.items} but {body.size} data lines follow")
     return n, body
 
 
 def parse_matrix(text: str, norm_bound: float | None = None) -> SparseSymmetricMatrix:
-    n, body = _counted_body(text, "matrix", "N NNZ", "entries")
-    entries = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'i j value', got {line!r}")
-        try:
-            i, j, val = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad entry {line!r}") from exc
-        if i > j:
-            raise ValueError(f"line {lineno}: entries must have i <= j, got ({i}, {j})")
-        entries.append((i, j, val))
-    return from_coordinate_list(n, entries, norm_bound=norm_bound)
+    n, body = _read_table(_MATRIX, text)
+    if np.any(body["i"] > body["j"]):
+        _refuse(_MATRIX, text)
+    return _from_pairs(n, body["i"], body["j"], body["v"], norm_bound)
 
 
-def format_matrix(a: SparseSymmetricMatrix, integer_values: bool = False) -> str:
+def upper_triangle(a: SparseSymmetricMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, value) of the stored entries with i <= j, by row, then column."""
     i, t = np.nonzero(a.vals)  # row-major, so by (row, column)
     upper = i <= a.cols[i, t]
     i, t = i[upper], t[upper]
-    j, v = a.cols[i, t], a.vals[i, t]
-    values = v.tolist()
+    return i, a.cols[i, t], a.vals[i, t]
+
+
+def format_matrix(a: SparseSymmetricMatrix, integer_values: bool = False) -> str:
+    """The matrix file text: every value spelled by repr, or as an int."""
+    i, j, v = upper_triangle(a)
     if integer_values:
         for k in np.flatnonzero(np.round(v) != v)[:1]:
-            raise ValueError(f"entry ({i[k]}, {j[k]}) = {values[k]} is not an integer")
-        values = map(int, values)
-    lines = map("{} {} {!r}".format, i.tolist(), j.tolist(), values)
-    return "\n".join([f"{a.dim} {i.size}", *lines]) + "\n"
+            raise ValueError(f"entry ({i[k]}, {j[k]}) = {v[k].item()} is not an integer")
+    distinct, which = np.unique(v, return_inverse=True)  # repr once per distinct value
+    spell = int if integer_values else float
+    words = np.array([repr(spell(x)) for x in distinct.tolist()], dtype=object)
+    fields = np.empty((i.size, 3), dtype=object)
+    fields[:, 0], fields[:, 1], fields[:, 2] = i.tolist(), j.tolist(), words[which]
+    return f"{a.dim} {i.size}\n" + ("%d %d %s\n" * i.size) % tuple(fields.ravel().tolist())
 
 
 def read_matrix_file(path: str, norm_bound: float | None = None) -> SparseSymmetricMatrix:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_matrix(fh.read(), norm_bound=norm_bound)
 
 
@@ -409,19 +522,10 @@ def write_matrix_file(path: str, a: SparseSymmetricMatrix, integer_values: bool 
 
 
 def parse_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
-    n, body = _counted_body(text, "graph", "N M", "edges")
-    edges = []
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad edge {line!r}") from exc
-    return n, edges
+    n, body = _read_table(_GRAPH, text)
+    return n, list(zip(body["u"].tolist(), body["v"].tolist()))
 
 
 def read_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_graph(fh.read())

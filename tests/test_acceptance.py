@@ -394,8 +394,9 @@ def test_reduce_at_twelve_qubits(text, dim, m, tmp_path, capsys):
 def test_round_trip_at_twelve_qubits(text, tmp_path, capsys):
     """The paper's loop at 12 qubits: `reduce` a circuit, then `estimate` the
     diagonal entry from shots at the instance's own (j, m, g, eps) and b = 1.
-    The estimate lies within eps of the exact diagonal, and where the
-    promise holds the decision lands on the side of the circuit's verdict."""
+    The estimate lies within eps of the exact diagonal, which `estimate`'s
+    own oracle reports bit for bit, and where the promise holds the decision
+    lands on the side of the circuit's verdict."""
     circuit = tmp_path / "c.circ"
     circuit.write_text(text)
 
@@ -410,5 +411,8 @@ def test_round_trip_at_twelve_qubits(text, tmp_path, capsys):
     instance = [arg for key in ("j", "m", "g", "epsilon") for arg in (f"--{key}", red[key])]
     est = run(["estimate", "--matrix", str(tmp_path / "o.mat"), *instance, "--b", "1.0"])
     assert abs(float(est["estimate"]) - float(red["exact_diag"])) <= float(red["epsilon"])
+    # the oracle's work on the rows j reaches is within estimate's budget
+    assert (est["exact"], est["within_tolerance"]) == (red["exact_diag"], "True")
+    assert est["promise_holds"] == red["promise_holds"]
     if red["promise_holds"] == "True":
         assert (est["decision"] == "BelowG") == (red["verdict"] == "accept")

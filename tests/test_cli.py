@@ -1,7 +1,14 @@
 """Command-line interface: reports, files, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dee.cli import main
 from dee.sparse import format_matrix, parse_matrix
@@ -174,6 +181,22 @@ class TestEstimate:
         assert report["p"] == "62"
         assert oracle_calls == []
         assert not {"exact", "within_tolerance", "promise_holds"} & set(report)
+
+    @pytest.mark.parametrize("rows, m, reported", [
+        (300, 2, True),  # 300 rows, but the oracle's 2 matvecs run on the few that j reaches
+        (0, 44739242, False),  # no stored entry: each matvec is still counted as one slot pass
+    ])
+    def test_exact_oracle_gated_by_its_work(self, rows, m, reported, tmp_path, capsys):
+        path = tmp_path / "a.mat"
+        text = format_matrix(random_sparse_matrix(np.random.default_rng(300), rows)) if rows else "2 0\n"
+        path.write_text(text)
+        rc = main([
+            "estimate", "--matrix", str(path), "--j", "0", "--m", str(m), "--epsilon", "1.0",
+        ])
+        assert rc == 0
+        report = report_dict(capsys.readouterr().out)
+        oracle_lines = {"exact", "within_tolerance", "promise_holds"}
+        assert oracle_lines & set(report) == (oracle_lines if reported else set())
 
     def test_offdiagonal_power_overflow_refused_before_sampling(self, triangle_file, capsys, monkeypatch):
         calls = []
@@ -498,3 +521,63 @@ class TestGolden:
         (tmp_path / "g.mat").write_text(GOLDEN_MATRIX)
         got = self.digest(["exact", "--matrix", "g.mat", "--j", "1", "--m", "9"] + extra, capsys)
         assert got == want
+
+
+def hash_of(text, argv=("--j", "0", "--m", "1", "--epsilon", "1.0")):
+    """The instance_hash `estimate` prints for a matrix file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.mat")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["estimate", "--matrix", path, *argv]) == 0
+    return report_dict(out.getvalue())["instance_hash"]
+
+
+@st.composite
+def spelled_matrices(draw):
+    """(canonical text, the same entries respelled, one value moved by an ulp)."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([1.0, -1.0, 2.0, 0.5]), st.floats(-4.0, 4.0)).filter(bool)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = [(min(i, j), max(i, j), v) for (i, j), v in draw(st.lists(
+        st.tuples(pairs, value), min_size=1, max_size=8, unique_by=lambda e: frozenset(e[0])))]
+
+    def text(entries, spell=repr, end="\n"):
+        return end.join([f"{n} {len(entries)}"] + [f"{i} {j} {spell(v)}" for i, j, v in entries]) + end
+
+    def respell(v):
+        forms = [repr(v), f"{v:.17e}", f"{v:.25e}"]
+        if v == int(v):
+            forms += [f"{int(v)}", f"{v:.2f}", f"{int(v)}e0"]
+        return draw(st.sampled_from(forms)) + draw(st.sampled_from(["", "  # note"]))
+
+    shuffled = draw(st.permutations(entries))
+    noisy = "# a comment\n\n" + text(shuffled, respell, draw(st.sampled_from(["\n", "\r\n"])))
+    k = draw(st.integers(0, len(entries) - 1))
+    i, j, v = entries[k]
+    step = float(np.nextafter(v, draw(st.sampled_from([-np.inf, np.inf]))))
+    moved = entries[:k] + [(i, j, step)] + entries[k + 1:]
+    return text(entries), noisy, text(moved)
+
+
+class TestInstanceHash:
+    """instance_hash digests the parsed matrix and the run's fields, not the file's text."""
+
+    def test_golden(self, tmp_path):
+        records = np.array(
+            [(0, 0, 0.5), (0, 1, -0.25), (1, 2, 0.75), (2, 3, 1.5), (3, 3, -0.125)],
+            dtype=[("i", "<i8"), ("j", "<i8"), ("v", "<f8")],
+        )
+        # dim, the upper triangle by row then column, then |i|j|m|g|epsilon|b
+        blob = np.array(4, dtype="<i8").tobytes() + records.tobytes() + b"|None|1|3|0.0|0.5|2.25"
+        got = hash_of(GOLDEN_MATRIX, ("--j", "1", "--m", "3", "--epsilon", "0.5", "--seed", "0"))
+        assert got == hashlib.sha256(blob).hexdigest()[:16] == "144aa9588e8abcf2"
+
+    @settings(max_examples=100, deadline=None)
+    @given(spelled_matrices())
+    def test_spelling_does_not_count_but_an_ulp_does(self, texts):
+        canonical, noisy, moved = texts
+        assert hash_of(noisy) == hash_of(canonical)
+        assert hash_of(moved) != hash_of(canonical)

@@ -265,7 +265,8 @@ def noisy_text(draw, lines):
 @st.composite
 def graph_cases(draw):
     n = draw(st.integers(1, 10**6))
-    edges = draw(st.lists(st.tuples(st.integers(-5, 10**20), st.integers(-5, 10**20)), max_size=8))
+    vertex = st.integers(-5, 2**63 - 1)  # the reader refuses integers outside int64
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
     lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
     return n, edges, noisy_text(draw, lines)
 
