@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dee.sparse import data_lines
+from dee.sparse import text_lines
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -333,7 +333,7 @@ _PLAIN_GATES = {"H": h, "X": x, "Z": z, "CNOT": cnot, "TOFF": toffoli}  # argume
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = data_lines(text)
+    lines = [(lineno, line) for lineno, line, _ in text_lines(text)]
     if not lines:
         raise ValueError("circuit text has no data lines")
     lineno, header = lines[0]
@@ -375,6 +375,6 @@ def format_circuit(c: Circuit) -> str:
 
 
 def read_circuit_file(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_circuit(fh.read())
 

@@ -259,10 +259,14 @@ def cmd_paths(args) -> int:
     matrix = adjacency_from_edges(n, edges)
     b = matrix.norm_bound
     tol = args.epsilon * power_scale(b, args.m)
-    # the instance checks --j and the sampler refuses oversized runs before the oracle's m matvecs
+    # the instance checks --j, then the sampler and the work bound refuse
+    # oversized runs, all before the oracle's m matvecs
     instance = DeeInstance(matrix=matrix, j=args.j, m=args.m, g=0.0, epsilon=args.epsilon, b=b)
     params = choose_params(args.m, args.epsilon, args.fail_prob)
     _, estimate = _sample_diag(instance, params, analytic_backend(), args)
+    if not _oracle_affordable(matrix, args.j, args.m):
+        raise ValueError(f"the exact count needs over {EXACT_ORACLE_MAX_WORK} row-slots of oracle work; "
+                         "use a smaller m")
     exact = power_diag_exact(matrix, args.j, args.m)
     pairs = [
         ("command", "paths"),

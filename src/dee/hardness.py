@@ -39,7 +39,7 @@ from dee.circuits import (
     gate_unitary,
     _bits,
 )
-from dee.sparse import DeeInstance, SparseSymmetricMatrix, check_dim, from_coordinate_arrays
+from dee.sparse import DeeInstance, SparseSymmetricMatrix, check_dim, from_coordinate_arrays, reach
 from dee.spectral import (
     SpectralMeasure,
     eig_sym,
@@ -261,16 +261,19 @@ def verify_induced_measure(
 ) -> SpectralMeasure:
     """Check the induced measure of A at |0>|x,0> against the reference mixture.
 
+    A is eigensolved densely only on the connected component of |0>|x,0>
+    (`sparse.reach`), so clocks of any size the reduction builds are checked.
     Raises ValueError on any atom position or weight deviating beyond tol;
     returns the induced measure on success.
     """
     if clock.n_positions % 2 == 0:
         raise ValueError("verification needs an odd clock length")
     bits = _bits(xs)
-    matrix = build_observable(clock)
-    psi = np.zeros(matrix.dim)
-    psi[clock.flat_index(0, basis_index(bits))] = 1.0
-    induced = induced_measure(eig_sym(matrix.to_dense()), psi)
+    j = clock.flat_index(0, basis_index(bits))
+    sub, rows = reach(build_observable(clock), j, clock.dim)  # rows outside j's component weigh 0
+    psi = np.zeros(sub.dim)
+    psi[np.searchsorted(rows, j)] = 1.0
+    induced = induced_measure(eig_sym(sub.to_dense()), psi)
     alpha1_sq = 1.0 - symmetric_overlap(clock, bits)
     reference = reference_measure(clock.n_positions, alpha1_sq)
     ref_atoms = [(lam, w) for lam, w in reference.atoms if w > 10 * tol]

@@ -18,9 +18,12 @@ an analytic sampler that draws from the exact outcome distribution
     Pr(a | phase phi) = sin^2(pi T d) / (T^2 sin^2(pi d)),  d = phi - a/T
 
 per eigen-atom by vectorised rejection, which needs no 2^p-sized vector and
-runs at any register width up to p = 62 (outcomes are int64).  `outcome_law`
-is the one closed form of that law: the full distribution tabulates it, the
-sampler's accept test is it with the division multiplied out, and every
+runs at any register width up to p = 62 (outcomes are int64).
+`grid_position` is the one map from an eigenvalue to the grid, phi*T =
+centre + frac, and `outcome_law` the one closed form of the law at the
+offsets j from that centre: the full distribution tabulates it, the
+sampler's accept test is it with the division multiplied out (the grid
+position and numerator worked out once per atom, not per shot), and every
 moment and phase-mass check of `dee.verify` sums it over a window of
 offsets around each atom.  Shots are drawn in blocks of 4,096, each block
 from its own Philox stream spawned from the seed, so the outcomes depend
@@ -182,12 +185,20 @@ def eigenphase(lam: float | np.ndarray) -> float | np.ndarray:
     return (lam % _TWO_PI) / _TWO_PI
 
 
-def _eigenphases(measure: SpectralMeasure) -> np.ndarray:
-    """The eigenphase of every atom, refusing eigenvalues outside [-1, 1]."""
-    lam = measure.values
+def grid_position(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(centre, frac) of each eigenvalue's phase on the 2^p outcome grid:
+    phi*T = centre + frac, centre = round(phi*T) as int64 and |frac| <= 1/2.
+
+    The one eigenvalue-to-grid map: `outcome_law(frac, j, T)` is then the
+    chance of outcome (centre + j) mod T.  Eigenvalues outside [-1, 1] are
+    refused.
+    """
+    lam = np.asarray(values, dtype=np.float64)
     for bad in lam[np.abs(lam) > 1.0 + 1e-9][:1]:
         raise ValueError(f"eigenvalue {bad} outside [-1, 1]; b must dominate the spectral norm")
-    return eigenphase(lam)
+    x0 = eigenphase(lam) * float(1 << p)
+    centre = np.rint(x0)
+    return centre.astype(np.int64), x0 - centre
 
 
 def outcome_law(
@@ -229,10 +240,9 @@ def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
     half = t // 2
     offsets = np.arange(-half, half)
     out = np.zeros(t)
-    for phi, w in zip(_eigenphases(measure), measure.weights):
-        centre = int(np.rint(phi * t))
+    for centre, frac, w in zip(*grid_position(measure.values, p), measure.weights):
         # offset j is outcome (centre + j) mod T, at index j + T/2
-        out += np.roll(w * outcome_law(phi * t - centre, offsets, t), centre - half)
+        out += np.roll(w * outcome_law(frac, offsets, t), centre - half)
     return out
 
 
@@ -331,8 +341,11 @@ def _envelope(j: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(4.0 * i * (i - 1.0), 1.0)
 
 
-def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.ndarray:
-    """One outcome a ~ Pr(a | phi) per phase, exactly, by vectorised rejection.
+def _draw_outcomes(
+    centre: np.ndarray, frac: np.ndarray, num: np.ndarray, p: int, gen: np.random.Generator
+) -> np.ndarray:
+    """One outcome a ~ Pr(a | phi) per shot, exactly, by vectorised rejection,
+    given each shot's `grid_position` (centre, frac) and num = sin^2(pi frac).
 
     Proposal: centre a* = round(phi*T) plus an offset j with envelope
     e(0) = e(+-1) = 1 and e(+-i) = 1/(4i(i-1)) for i >= 2, total mass
@@ -348,15 +361,10 @@ def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.n
     for the shots still pending, until none are.
     """
     t = 1 << p
-    x0 = phases * float(t)
-    centre = np.rint(x0)
-    frac = x0 - centre
     # accept iff w * e(j) <= outcome_law(frac, j, T), with the law's division
-    # multiplied out and its numerator computed once per phase; d = 0 gives
-    # den = 0 and always accepts
-    num = np.sin(np.pi * frac) ** 2
-    offsets = np.empty(len(phases), dtype=np.int64)
-    pending = np.arange(len(phases))
+    # multiplied out; d = 0 gives den = 0 and always accepts
+    offsets = np.empty(len(centre), dtype=np.int64)
+    pending = np.arange(len(centre))
     while pending.size:
         u, v, w = gen.random((3, pending.size))
         pick = 3.5 * u  # [0, 3): j in {-1, 0, 1}; [3, 3.25): +tail; [3.25, 3.5): -tail
@@ -366,7 +374,7 @@ def _draw_outcomes(phases: np.ndarray, p: int, gen: np.random.Generator) -> np.n
         keep = (j > -t / 2) & (j <= t / 2) & (w * _envelope(j) * den * den <= num[pending])
         offsets[pending[keep]] = j[keep]
         pending = pending[~keep]
-    return (centre.astype(np.int64) + offsets) % t
+    return (centre + offsets) % t
 
 
 def _pick(cdf: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -423,11 +431,13 @@ def sample_measurements(
             measure = induced_measure(eig_sym(tri / b), e_1)
         else:  # K >= |S|: the rule would be the induced measure, cheaper densely
             measure = induced_measure(eig_sym(sub.to_dense() / b), psi[rows])
-        phases = _eigenphases(measure)
+        centre, frac = grid_position(measure.values, params.p)
+        num = np.sin(np.pi * frac) ** 2  # the law's numerator, once per atom
         cdf = np.cumsum(measure.weights)
 
         def draw_block(gen: np.random.Generator, n: int) -> np.ndarray:
-            return _draw_outcomes(phases[_pick(cdf, n, gen)], params.p, gen)
+            atom = _pick(cdf, n, gen)
+            return _draw_outcomes(centre[atom], frac[atom], num[atom], params.p, gen)
 
     children = np.random.SeedSequence(seed).spawn(-(-params.k // BLOCK_SHOTS))
     out = np.empty(params.k, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Sparse real symmetric matrices in padded slot arrays, with exact power oracles.
+r"""Sparse real symmetric matrices in padded slot arrays, with exact power oracles.
 
 A matrix is two N x s arrays, s being the largest row size: row i holds its
 nonzero columns in ascending order in cols[i] and their values in vals[i],
@@ -13,10 +13,12 @@ k steps from j.  So the oracle costs O(m * |S| * s), not O(m * N * s), S
 being the rows within m steps of j: a reduction puts j in a component of
 tens to hundreds of rows of a clock matrix of tens of thousands.
 
+Matrix, graph and circuit text share one line rule, `text_lines`: lines
+end at \n or \r\n, and any other line break is refused, naming its line.
 Matrix and graph text is read by one `np.loadtxt` pass straight into
 int64/int64/float64 columns, after the header's N has passed `check_dim`.
-The only Python-level walk over the lines is `_refuse`, which runs on a text
-that pass refused and raises the error naming its first bad line.
+The only Python-level walk over their body lines is `_refuse`, which runs
+on a text that pass refused and raises the error naming its first bad line.
 `format_matrix` spells each distinct value once with repr and writes the
 text with one %-format.
 """
@@ -350,17 +352,9 @@ def decide(estimate: float, g: float) -> DeeDecision:
 # matrix file: first data line "N NNZ", then NNZ lines "i j value" with
 # 0 <= i <= j < N.  graph file: first data line "N M", then M lines "u v".
 # '#' starts a comment; blank lines are ignored.  Numbers are ASCII decimal
-# tokens, integers within int64, and lines end in \n or \r\n.
+# tokens, integers within int64, and lines end in \n or \r\n (`text_lines`,
+# which circuit text shares).
 # ---------------------------------------------------------------------------
-
-
-def data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
 
 
 @dataclass(frozen=True)
@@ -384,15 +378,18 @@ _GRAPH = _Table("graph", "N M", "edges", "u v", "edge", [("u", "<i8"), ("v", "<i
 _ODD_BREAK = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]|\r(?!\n)")
 
 
-def _odd_break(text: str) -> bool:
-    if text.isascii() and "\r" not in text:  # str.__contains__ runs at memchr speed
-        return any(c in text for c in "\x0b\x0c\x1c\x1d\x1e")
-    return _ODD_BREAK.search(text) is not None
-
-
-def _lines(text: str):
+def text_lines(text: str):
     r"""(line number, content without comment or surrounding blanks, offset past
-    the line) of every line with data; lines end at \n."""
+    the line) of every line with data, for matrix, graph and circuit text.
+
+    Lines end at \n or \r\n.  Any other line break of str.splitlines is
+    refused, naming its line, before the first line is yielded.
+    """
+    # str.__contains__ runs at memchr speed; the regex runs only where it may match
+    maybe = not text.isascii() or "\r" in text or any(c in text for c in "\x0b\x0c\x1c\x1d\x1e")
+    if maybe and (odd := _ODD_BREAK.search(text)):
+        lineno = text.count("\n", 0, odd.start()) + 1
+        raise ValueError(f"line {lineno}: line break other than \\n or \\r\\n")
     start, lineno = 0, 1
     while start <= len(text):
         end = text.find("\n", start)
@@ -425,12 +422,9 @@ def _header(fmt: _Table, lineno: int, line: str) -> tuple[int, int]:
 
 def _refuse(fmt: _Table, text: str) -> NoReturn:
     """Raise the ValueError that names what is wrong with a text `_read_table`
-    refused: the first odd line break, else the first failing check of a
-    line-by-line parse, in that parse's order and words."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if _ODD_BREAK.search(raw.removesuffix("\r")):
-            raise ValueError(f"line {lineno}: line break other than \\n or \\r\\n")
-    lines = list(_lines(text))
+    refused: the first failing check of a line-by-line parse, in that
+    parse's order and words."""
+    lines = list(text_lines(text))
     if not lines:
         raise ValueError(f"{fmt.kind} text has no data lines")
     _, count = _header(fmt, *lines[0][:2])
@@ -455,13 +449,11 @@ def _read_table(fmt: _Table, text: str) -> tuple[int, np.ndarray]:
     r"""(N, body): the header and the body lines of a text as one structured
     array with fmt's columns, read by one C-level `np.loadtxt` pass.
 
+    A line break other than \n or \r\n is refused by `text_lines` first.
     N is checked against MAX_DIM before the body is read.  A text the pass
-    refuses, or one with a line break other than \n or \r\n, goes to
-    `_refuse`, which names its first bad line.
+    refuses goes to `_refuse`, which names its first bad line.
     """
-    if _odd_break(text):
-        _refuse(fmt, text)
-    lineno, line, offset = next(_lines(text), (0, "", 0))
+    lineno, line, offset = next(text_lines(text), (0, "", 0))
     if not line:
         raise ValueError(f"{fmt.kind} text has no data lines")
     n, count = _header(fmt, lineno, line)

@@ -13,13 +13,16 @@ bound:
   * perturbation: replacing exp(iA) by any V with ||V - U|| <= delta moves
     E[Z^m] by at most 2^(p+2) delta.
 
-The three moment checks read one mechanism, `window_sums`: each atom's
-`outcome_law` summed over a window of at most 2 WINDOW + 1 offsets, with no
-2^p vector.  Since |z| <= 1, the law mass outside the window bounds how far
-E[Z^m] can lie from the windowed sum, and each check adds it to its measured
-value, so every measured value is an upper bound on the true one.  While
+The four randomized checks draw their instances (budget, matrix, j and the
+measure e_j induces on A/b) from one generator, each from its own seed.
+They read one per-atom walk: each atom's `qpe.grid_position` and its
+`outcome_law` over the offsets [-h, h] within [-T/2, T/2), with no 2^p
+vector.  The three moment checks take h = WINDOW (`window_sums`).  Since
+|z| <= 1, the law mass outside the window bounds how far E[Z^m] can lie
+from the windowed sum, and each check adds it to its measured value, so
+every measured value is an upper bound on the true one.  While
 T/2 <= WINDOW (p <= 17) the window is the whole law and the sums are exact.
-The phase-mass check, `phase_mass`, evaluates the law only on the slice of
+The phase-mass check, `phase_mass`, takes h = ceil(eta T), the slice of
 that window within eta of the phase.
 """
 
@@ -37,8 +40,8 @@ from dee.qpe import (
     QpeParams,
     analytic_backend,
     choose_params,
-    eigenphase,
     estimate_from_outcomes,
+    grid_position,
     moment_of_distribution,
     outcome_law,
     outcomes_to_z,
@@ -87,15 +90,6 @@ def random_sparse_symmetric(rng: np.random.Generator, n: int) -> SparseSymmetric
     return from_coordinate_list(n, entries)
 
 
-def _normalized_measure(
-    matrix: SparseSymmetricMatrix, j: int
-) -> tuple[SpectralMeasure, float]:
-    b = matrix.norm_bound
-    psi = np.zeros(matrix.dim)
-    psi[j] = 1.0
-    return induced_measure(eig_sym(matrix.to_dense() / b), psi), b
-
-
 # (m, eps) schedule at p = 12, 16, 18 and 18, so the battery sums both
 # whole laws and windows narrower than the law
 _BUDGETS = [(1, 1.0), (2, 0.5), (4, 0.5), (2, 0.25)]
@@ -105,6 +99,23 @@ _FAIL_PROB = 0.05
 WINDOW = 1 << 16
 
 
+def _window_laws(values: np.ndarray, p: int, h: int):
+    """(offsets, laws): the grid offsets [-h, h] within [-T/2, T/2), and an
+    iterator over each eigenvalue's (centre, frac, law), its `grid_position`
+    and its `outcome_law` over those offsets.
+
+    Every law is computed into one array, so a law is valid only until the
+    next is drawn (fresh arrays per atom page-faulted enough to slow the
+    battery by a third).
+    """
+    t = 1 << p
+    offsets = np.arange(max(-h, -(t // 2)), min(h + 1, t // 2))
+    law = np.empty(len(offsets))
+    centres, fracs = grid_position(values, p)
+    laws = ((c, f, outcome_law(f, offsets, t, out=law)) for c, f in zip(centres.tolist(), fracs.tolist()))
+    return offsets, laws
+
+
 class WindowSums(NamedTuple):
     """Per atom, its law summed over the window of `window_sums`."""
 
@@ -112,25 +123,14 @@ class WindowSums(NamedTuple):
     tail: np.ndarray  # law mass outside the window, so |E[Z^m] - S| <= tail
 
 
-def window_sums(values: np.ndarray, p: int, m: int, eta: float) -> WindowSums:
-    """Each eigenvalue's `outcome_law`, evaluated once over the offsets
-    |j| <= WINDOW around round(phi*T), or over all of [-T/2, T/2) when
-    T/2 <= WINDOW, and the two sums the moment checks read from it.
-
-    Atoms are taken one at a time in arrays allocated once per call (fresh
-    ones per atom page-faulted enough to slow the battery by a third).
-    """
+def window_sums(values: np.ndarray, p: int, m: int) -> WindowSums:
+    """The two sums the moment checks read from each eigenvalue's law over
+    the offsets |j| <= WINDOW, or over all of [-T/2, T/2) when T/2 <= WINDOW."""
     t = 1 << p
-    half = min(t // 2, WINDOW)
-    offsets = np.arange(-half, half) if half == t // 2 else np.arange(-half, half + 1)
-    outcomes = np.empty_like(offsets)
-    law, zm = np.empty(len(offsets)), np.empty(len(offsets))
+    offsets, laws = _window_laws(values, p, WINDOW)
+    outcomes, zm = np.empty_like(offsets), np.empty(len(offsets))
     sums = np.empty((2, len(values)))
-    for i, lam in enumerate(values):
-        x0 = eigenphase(lam) * t
-        centre = int(np.rint(x0))
-        frac = x0 - centre
-        outcome_law(frac, offsets, t, out=law)
+    for i, (centre, _, law) in enumerate(laws):
         np.add(offsets, centre, out=outcomes)
         outcomes &= t - 1
         np.power(outcomes_to_z(outcomes, p, out=zm), m, out=zm)
@@ -141,32 +141,33 @@ def window_sums(values: np.ndarray, p: int, m: int, eta: float) -> WindowSums:
 def phase_mass(values: np.ndarray, p: int, eta: float) -> np.ndarray:
     """Per eigenvalue, its law's mass at circular distance < eta from its phase.
 
-    Outcome round(phi*T) + j lies within that distance iff |j - frac| < eta*T,
-    so the law is evaluated only at the offsets |j| <= ceil(eta*T) of the
-    `window_sums` window; past the window the mass is a lower bound.
+    Outcome centre + j lies within that distance iff |j - frac| < eta*T, so
+    the law is evaluated only at the offsets |j| <= ceil(eta*T), capped at
+    the `window_sums` window; past the window the mass is a lower bound.
     """
     t = 1 << p
-    reach = min(math.ceil(eta * t), t // 2, WINDOW)
-    offsets = np.arange(-reach, min(reach + 1, t // 2))
-    law = np.empty(len(offsets))
-    mass = np.empty(len(values))
-    for i, lam in enumerate(values):
-        x0 = eigenphase(lam) * t
-        frac = x0 - int(np.rint(x0))
-        outcome_law(frac, offsets, t, out=law)
-        mass[i] = np.sum(law, where=np.abs(offsets - frac) < eta * t)
-    return mass
+    offsets, laws = _window_laws(values, p, min(math.ceil(eta * t), WINDOW))
+    return np.array([np.sum(law, where=np.abs(offsets - frac) < eta * t) for _, frac, law in laws])
+
+
+def _instances(seed: int, count: int, budgets=_BUDGETS, fail_prob: float = _FAIL_PROB, max_dim: int = 16):
+    """`count` random (params, matrix, j, measure) from one seeded stream:
+    instance t runs at budget t mod len(budgets), on a random 4..max_dim-row
+    matrix A and diagonal index j, with the measure e_j induces on A/b, b
+    being A's norm bound."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m, eps = budgets[t % len(budgets)]
+        matrix = random_sparse_symmetric(rng, int(rng.integers(4, max_dim + 1)))
+        j = int(rng.integers(0, matrix.dim))
+        measure = induced_measure(eig_sym(matrix.to_dense() / matrix.norm_bound), np.eye(1, matrix.dim, j)[0])
+        yield choose_params(m, eps, fail_prob), matrix, j, measure
 
 
 def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
     """Worst per-atom (1 - mass within eta) against theta."""
-    rng = np.random.default_rng(seed)
     worst_ratio = 0.0  # (1 - mass) / theta, so mixed budgets share one row
-    for t in range(n_matrices):
-        m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, _FAIL_PROB)
-        matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
-        measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
+    for params, _, _, measure in _instances(seed, n_matrices):
         mass = phase_mass(measure.values, params.p, params.eta)
         worst_ratio = max(worst_ratio, float(np.max(1.0 - mass)) / params.theta)
     return _check("phase mass outside eta vs theta (ratio)", 1.0, worst_ratio)
@@ -174,39 +175,28 @@ def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
 
 def atom_moment_check(n_matrices: int = 20, seed: int = 20260820) -> BoundCheck:
     """Worst per-atom |E[Z^m] - lambda^m| against 2 theta + 2 pi m eta."""
-    rng = np.random.default_rng(seed)
     worst_ratio = 0.0
-    for t in range(n_matrices):
-        m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, _FAIL_PROB)
-        bound = 2.0 * params.theta + _TWO_PI * m * params.eta
-        matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
-        measure, _ = _normalized_measure(matrix, int(rng.integers(0, matrix.dim)))
-        sums = window_sums(measure.values, params.p, m, params.eta)
-        powers = [signed_power(lam, m) for lam in measure.values]
+    for params, _, _, measure in _instances(seed, n_matrices):
+        bound = 2.0 * params.theta + _TWO_PI * params.m * params.eta
+        sums = window_sums(measure.values, params.p, params.m)
+        powers = [signed_power(lam, params.m) for lam in measure.values]
         worst_ratio = max(worst_ratio, float(np.max(np.abs(sums.moment - powers) + sums.tail)) / bound)
     return _check("per-atom |E[Z^m] - lambda^m| vs 2 theta + 2 pi m eta (ratio)", 1.0, worst_ratio)
 
 
 def _mixture_moment(measure: SpectralMeasure, params: QpeParams) -> tuple[float, float]:
     """(sum w S, sum w tail) over the atoms: E[Z^m] lies within the second of the first."""
-    sums = window_sums(measure.values, params.p, params.m, params.eta)
+    sums = window_sums(measure.values, params.p, params.m)
     return float(np.dot(measure.weights, sums.moment)), float(np.dot(measure.weights, sums.tail))
 
 
 def state_moment_check(n_matrices: int = 20, seed: int = 20260821) -> BoundCheck:
     """Worst |E[Z^m] - (A^m)_jj / b^m| against eps/3 over full mixtures."""
-    rng = np.random.default_rng(seed)
     worst_ratio = 0.0
-    for t in range(n_matrices):
-        m, eps = _BUDGETS[t % len(_BUDGETS)]
-        params = choose_params(m, eps, _FAIL_PROB)
-        matrix = random_sparse_symmetric(rng, int(rng.integers(4, 17)))
-        j = int(rng.integers(0, matrix.dim))
-        measure, b = _normalized_measure(matrix, j)
+    for params, matrix, j, measure in _instances(seed, n_matrices):
         got, tail = _mixture_moment(measure, params)
-        exact = power_diag_exact(matrix, j, m) / b**m
-        worst_ratio = max(worst_ratio, (abs(got - exact) + tail) / (eps / 3.0))
+        exact = power_diag_exact(matrix, j, params.m) / matrix.norm_bound**params.m
+        worst_ratio = max(worst_ratio, (abs(got - exact) + tail) / (params.epsilon / 3.0))
     return _check("|E[Z^m] - (A^m)_jj / b^m| vs eps/3 (ratio)", 1.0, worst_ratio)
 
 
@@ -216,21 +206,14 @@ def sampling_check(trials: int = 50, seed: int = 20260822) -> BoundCheck:
     k is sized for failure probability 1e-4 per trial, so the whole battery
     violates the bound with probability under trials * 1e-4.
     """
-    rng = np.random.default_rng(seed)
-    m, eps = 2, 0.5
-    params = choose_params(m, eps, 1e-4)
     worst_ratio = 0.0
-    for t in range(trials):
-        matrix = random_sparse_symmetric(rng, int(rng.integers(4, 13)))
-        j = int(rng.integers(0, matrix.dim))
-        b = matrix.norm_bound
-        measure, _ = _normalized_measure(matrix, j)
+    instances = _instances(seed, trials, budgets=[(2, 0.5)], fail_prob=1e-4, max_dim=12)
+    for t, (params, matrix, j, measure) in enumerate(instances):
         expected, tail = _mixture_moment(measure, params)
-        psi = np.zeros(matrix.dim)
-        psi[j] = 1.0
+        b, psi = matrix.norm_bound, np.eye(1, matrix.dim, j)[0]
         outcomes = sample_measurements(matrix, b, psi, params, analytic_backend(), seed=(seed, t))
         got = estimate_from_outcomes(outcomes, params, 1.0)
-        worst_ratio = max(worst_ratio, (abs(got - expected) + tail) / (eps / 3.0))
+        worst_ratio = max(worst_ratio, (abs(got - expected) + tail) / (params.epsilon / 3.0))
     return _check("sampled |mean - E[Z^m]| vs eps/3 (ratio)", 1.0, worst_ratio)
 
 

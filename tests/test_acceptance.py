@@ -19,6 +19,7 @@ from dee.circuits import (
     circuit_unitary,
     cnot,
     h,
+    parse_circuit,
     rot,
     toffoli,
     x,
@@ -256,7 +257,12 @@ def test_criterion_09_measure_equality(capsys):
         assert clock.n_positions == n_positions
         verify_induced_measure(clock, xs, tol=1e-8)
         checked += 1
-    ok = checked == 4
+    # at reduction scale: the 86,016-row clock, eigensolved on e_j's component
+    clock = build_clock_operator(build_mirror_circuit(parse_circuit(TWELVE_QUBIT_10_GATES)))
+    assert (clock.n_positions, clock.dim) == (21, 86_016)
+    verify_induced_measure(clock, TWELVE_QUBIT_INPUT, tol=1e-8)
+    checked += 1
+    ok = checked == 5
     report(capsys, 9, "measure equality", ok)
     assert ok
 

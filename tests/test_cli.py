@@ -344,6 +344,25 @@ class TestReduce:
             value = line.split()[2]
             assert value in ("1", "-1")
 
+    def reduce_text(self, text, tmp_path):
+        circ = tmp_path / "c.circ"
+        circ.write_bytes(text.encode())
+        return main(["reduce", "--circuit", str(circ), "--input", "000",
+                     "--out-matrix", str(tmp_path / "o.mat"), "--out-meta", str(tmp_path / "o.meta")])
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028", "\r"])
+    def test_odd_line_break_refused_naming_the_line(self, brk, tmp_path, capsys):
+        assert self.reduce_text(f"QUBITS 3\nH 1\nH 2{brk}TOFF 1 2 0\n", tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: line 3: line break other than \\n or \\r\\n" in captured.err
+
+    def test_crlf_circuit_reduces_as_lf(self, tmp_path, capsys):
+        assert self.reduce_text(TOFFOLI_CIRCUIT, tmp_path) == 0
+        lf = capsys.readouterr().out
+        assert self.reduce_text(TOFFOLI_CIRCUIT.replace("\n", "\r\n"), tmp_path) == 0
+        assert capsys.readouterr().out == lf
+
     def test_failed_reduction_writes_nothing(self, tmp_path, capsys):
         circ = tmp_path / "rot.circ"
         circ.write_text("QUBITS 1\nROT 0 0.5\n")
@@ -426,7 +445,8 @@ class TestPaths:
 
 
 class TestPathsRefusesBeforeOracle:
-    """paths checks --j and the sampler's limits before the oracle's m matvecs."""
+    """paths checks --j, the sampler's limits and the oracle's work bound
+    before the oracle's m matvecs."""
 
     @pytest.fixture
     def oracle_calls(self, monkeypatch):
@@ -452,6 +472,15 @@ class TestPathsRefusesBeforeOracle:
                    "--m", "134217728", "--epsilon", "1.0"])
         assert rc == 1
         assert "p <= 62" in capsys.readouterr().err
+        assert oracle_calls == []
+
+    def test_oracle_work_limit(self, tmp_path, capsys, oracle_calls):
+        # 10^6 matvecs, one slot pass each over 2 rows: 10^6 * (2 + 500) > 10^8 row-slots
+        rc = main(["paths", "--graph", self.graph(tmp_path, "2 1\n0 1\n"), "--j", "0", "--m", "1000000"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error: the exact count needs over 100000000 row-slots of oracle work" in captured.err
         assert oracle_calls == []
 
     @pytest.mark.parametrize("j", [3, -1])
@@ -481,7 +510,7 @@ ROT_CIRCUIT = "QUBITS 3\nH 1\nROT 2 0.7\nCNOT 2 1\nTOFF 1 2 0\n"
 
 
 class TestGolden:
-    """Pinned sha256 of stdout plus the written matrix for sampler-free commands.
+    """Pinned sha256 of stdout, plus the written matrix for `reduce`.
 
     Paths are relative to a fresh working directory, so the digests do not
     depend on where the test runs.
@@ -521,6 +550,40 @@ class TestGolden:
         (tmp_path / "g.mat").write_text(GOLDEN_MATRIX)
         got = self.digest(["exact", "--matrix", "g.mat", "--j", "1", "--m", "9"] + extra, capsys)
         assert got == want
+
+    # sampled commands: the digests pin the sampler's draws and verify's sums too
+    @pytest.mark.parametrize("extra, want", [
+        pytest.param([], "f244c1c3bc10b1d8", id="diagonal"),
+        pytest.param(["--i", "3"], "3dea8ed26f24625d", id="offdiagonal"),
+        pytest.param(["--backend", "statevector"], "31637c6df38ab8a7", id="statevector"),
+    ])
+    def test_estimate(self, extra, want, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.mat").write_text(GOLDEN_MATRIX)
+        argv = ["estimate", "--matrix", "g.mat", "--j", "1", "--m", "2", "--epsilon", "0.5",
+                "--g", "0.1", "--seed", "7"]
+        assert self.digest(argv + extra, capsys) == want
+
+    def test_estimate_at_p46(self, tmp_path, monkeypatch, capsys):
+        """A 2-qubit, 6-gate circuit's reduction: clock length 13, so p = 46."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.circ").write_text("QUBITS 2\nROT 0 0.4\nCNOT 0 1\nH 1\nX 0\nZ 1\nROT 1 1.3\n")
+        assert main(["reduce", "--circuit", "c.circ", "--input", "10",
+                     "--out-matrix", "o.mat", "--out-meta", "o.meta"]) == 0
+        meta = report_dict(capsys.readouterr().out)
+        argv = ["estimate", "--matrix", "o.mat", "--b", "1.0", "--seed", "3"]
+        argv += [arg for key in ("j", "m", "g", "epsilon") for arg in (f"--{key}", meta[key])]
+        assert meta["m"] == "2197" and meta["epsilon"] == repr(1 / 52)  # p = 2 ceil(log2(48 m / eps)) = 46
+        assert self.digest(argv, capsys) == "826298c96f394819"
+
+    def test_paths(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.graph").write_text(SQUARE_GRAPH)
+        argv = ["paths", "--graph", "s.graph", "--j", "2", "--m", "4", "--seed", "5"]
+        assert self.digest(argv, capsys) == "83d3dd33ea4414b0"
+
+    def test_verify_bounds(self, capsys):
+        assert self.digest(["verify-bounds", "--matrices", "2", "--trials", "2"], capsys) == "4e7e9bc70bd333ec"
 
 
 def hash_of(text, argv=("--j", "0", "--m", "1", "--epsilon", "1.0")):

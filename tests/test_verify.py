@@ -61,7 +61,7 @@ def test_whole_window_equals_full_vector_moment(p):
     assert (1 << p) // 2 <= WINDOW
     for lam in LAMBDAS:
         for m in (1, 2, 3, 4):
-            sums = window_sums(np.array([lam]), p, m, 0.01)
+            sums = window_sums(np.array([lam]), p, m)
             assert sums.moment[0] == pytest.approx(_full_moment(lam, p, m), rel=0, abs=1e-12)
             assert sums.tail[0] < 1e-12
 
@@ -73,7 +73,7 @@ def test_narrow_window_brackets_full_vector_moment(p):
     assert (1 << p) // 2 > WINDOW
     for lam in LAMBDAS[5:]:
         for m in (2, 3):
-            sums = window_sums(np.array([lam]), p, m, 0.01)
+            sums = window_sums(np.array([lam]), p, m)
             assert sums.tail[0] > 0.0
             assert abs(_full_moment(lam, p, m) - sums.moment[0]) <= sums.tail[0] + 1e-14
 
@@ -81,7 +81,7 @@ def test_narrow_window_brackets_full_vector_moment(p):
 def test_window_wrapping_zero_past_float_resolution():
     """At p = 54 the windows of eigenvalues near 0 hold outcome 2^p - 1."""
     values = np.array([0.0, 1e-13, -1e-13])
-    sums = window_sums(values, 54, 2, 1e-9)
+    sums = window_sums(values, 54, 2)
     assert np.all(np.abs(sums.moment) < 1e-20)
     assert np.all(phase_mass(values, 54, 1e-9) > 0.999) and np.all(sums.tail < 1e-5)
 
