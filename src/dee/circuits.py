@@ -260,7 +260,7 @@ def build_mirror_circuit(y: Circuit) -> Circuit:
 # sparse row access
 #
 # row/column slices of a gate's full-space matrix, without building it, for
-# one row index or a whole int array of them: the bit operations act
+# a whole int array of row indices at once: the bit operations act
 # elementwise.  Columns come from rows of the inverse: gates are real
 # orthogonal, so G^T = G^{-1}.
 # ---------------------------------------------------------------------------
@@ -290,12 +290,11 @@ def _merge_slots(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def gate_row_entries(g: Gate, u, n: int):
-    """Nonzeros of row u of the gate's 2^n x 2^n matrix, sorted by column.
+    """Rows u (an int array) of the gate's 2^n x 2^n matrix, sorted by column.
 
-    For an int u: a list of (column, value), a fused gate's terms merged and
-    their zeros dropped.  For an int array u: the slot arrays (cols, vals) of
-    shape (slots, *u.shape); a fused gate's terms are merged into the first
-    slot of their column, and the other slots hold 0.
+    Returns the slot arrays (cols, vals) of shape (slots, *u.shape).  A fused
+    gate's terms are merged into the first slot of their column, and the
+    other slots hold 0.
     """
     u = np.asarray(u)
     if np.any((u < 0) | (u >= 1 << n)):
@@ -317,11 +316,7 @@ def gate_row_entries(g: Gate, u, n: int):
             vals = _merge_slots(cols, (vals * part_vals).swapaxes(0, 1).reshape((-1,) + u.shape))
         order = np.argsort(cols, axis=0, kind="stable")
         cols, vals = np.take_along_axis(cols, order, 0), np.take_along_axis(vals, order, 0)
-    cols, vals = np.array(cols), np.array(vals, dtype=np.float64)
-    if u.ndim:
-        return cols, vals
-    pairs = zip(cols.tolist(), vals.tolist())
-    return [(c, v) for c, v in pairs if v != 0.0 or g.kind is not GateKind.FUSED]
+    return np.array(cols), np.array(vals, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 Reports are deterministic byte-for-byte for a fixed seed and command line,
 regardless of worker count: every float is printed with repr, no timestamps
-or host details appear, and wall time goes to stderr only.  Output files are
-written only after the whole computation succeeds, so failures leave no
-partial files.  Exit codes: 0 success, 1 validation or file errors, 2 a
-verification check failed.
+or host details appear, and wall time goes to stderr only.  Output files and
+the report are written only after the whole computation succeeds, and every
+output file is opened before any is written, so a run that exits 1 prints no
+report and leaves no output file behind.  Exit codes: 0 success, 1
+validation or file errors, 2 a verification check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import os
 import sys
 import time
 
@@ -63,12 +66,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(pairs: list[tuple[str, object]], report_path: str | None) -> None:
+def _emit(pairs: list[tuple[str, object]], report_path: str | None, files=()) -> None:
+    """Write the report to report_path and each (path, text) of files, skipping
+    paths that are None, then print the report.  Every file is opened before
+    any is written; if one cannot be opened or written, the files opened so
+    far are removed and nothing is printed."""
     text = "\n".join(f"{k}: {_fmt(v)}" for k, v in pairs) + "\n"
+    files = [(path, body) for path, body in [(report_path, text), *files] if path]
+    if len({os.path.realpath(path) for path, _ in files}) < len(files):
+        raise ValueError("one file is named for two outputs")
+    handles = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path, _ in files:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8")))
+            for fh, (_, body) in zip(handles, files):
+                fh.write(body)
+    except OSError:
+        for fh in handles:
+            if os.path.isfile(fh.name):  # not a device such as /dev/stdout
+                os.remove(fh.name)
+        raise
     sys.stdout.write(text)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _instance_digest(matrix, *fields) -> str:
@@ -156,10 +175,7 @@ def cmd_estimate(args) -> int:
         pairs.append(("within_tolerance", abs(estimate - exact) <= tol))
         if decision is not None:
             pairs.append(("promise_holds", abs(exact - args.g) >= tol))
-    _emit(pairs, args.report)
-    for path, text in files:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(pairs, args.report, files)
     return 0
 
 
@@ -229,13 +245,7 @@ def cmd_reduce(args) -> int:
     ]
     if not args.integer:
         pairs.insert(13, ("e0_exceeds_floor", e0 > hardness.separation_floor(n_pos)))
-    meta_text = "\n".join(f"{k}: {_fmt(v)}" for k, v in pairs) + "\n"
-    # all computation done; now write both outputs
-    with open(args.out_matrix, "w", encoding="utf-8") as fh:
-        fh.write(matrix_text)
-    with open(args.out_meta, "w", encoding="utf-8") as fh:
-        fh.write(meta_text)
-    sys.stdout.write(meta_text)
+    _emit(pairs, args.out_meta, [(args.out_matrix, matrix_text)])
     return 0
 
 

@@ -7,12 +7,18 @@ permutations (Z = H X H), and a permutation fused with an adjacent H gives a
 pair, so the element count M always has the parity of the H count and every
 element carries exactly one 1/sqrt(2).
 
-A clock observable built from M such elements, rescaled by s = 2*sqrt(2)
-(the 1/2 from (W + W^dagger)/2 and the 1/sqrt(2) from the element), has
-every entry exactly in {-1, 0, 1}; entries are composed symbolically as
-signed integers, never by rounding floats.  Of the decision thresholds, the
-odd-M sign argument is unavailable (M is even here), so thresholds come from
-the exact even-M cycle moments E0, E1:
+The clock observable of M such elements, rescaled by s = 2*sqrt(2) (the 1/2
+from (W + W^dagger)/2 and the 1/sqrt(2) from the element), has every entry
+in {-1, 0, 1}.  It is built by the norm-1 reduction's clock builder,
+`hardness.assemble_clock`, run on the elements as fused gates at weight
+s/2 = fl(sqrt(2)), and its entries are exactly +-1 in binary64: each element
+entry is one H entry fl(1/fl(sqrt(2))) = 0.7071067811865475 times
+permutation 1.0s, and fl(sqrt(2)) * 0.7071067811865475 == 1.0 holds exactly.
+`format_matrix(integer_values=True)` refuses any entry that is not an
+integer, so `reduce --integer` exits 1 rather than write an entry that is
+off by an ulp.  Of the decision thresholds, the odd-M sign argument is
+unavailable (M is even here), so thresholds come from the exact even-M cycle
+moments E0, E1:
 
     g = s^m (E0 + E1) / 2,   eps = (E0 - E1) / 12,   b = s,
 
@@ -23,8 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from dee.circuits import (
     Circuit,
@@ -38,7 +42,6 @@ from dee.circuits import (
     is_permutation_gate,
     x,
     _bits,
-    _perm_image,
 )
 from dee.sparse import DeeInstance, SparseSymmetricMatrix
 from dee.hardness import HardnessInstance, assemble_clock, moment_separation, predicted_diag
@@ -81,34 +84,6 @@ class UniformScaleGate:
         if self.kind == PERM_THEN_H:
             return fused(self.perm, h(self.h_qubit))
         return fused(h(self.h_qubit), self.perm)
-
-    def max_qubit(self) -> int:
-        top = self.h_qubit
-        if self.perm is not None:
-            top = max(top, max(self.perm.qubits))
-        return top
-
-
-def element_int_row(e: UniformScaleGate, u, n: int):
-    """Row u of sqrt(2) * (element matrix): exactly two entries, each +-1.
-
-    The sqrt(2) H has rows (1, 1) and (1, -1); composing with a permutation
-    only relabels which columns (for H P) or which row of H (for P H) is
-    read, so the values stay signed units.  For an int u the two
-    (column, value) pairs come in no set order; for an int array u the
-    result is the slot arrays (cols, vals) of shape (2, *u.shape).
-    """
-    u = np.asarray(u)
-    if np.any((u < 0) | (u >= 1 << n)):
-        raise ValueError(f"row index {u} out of range for {n} qubits")
-    bit = 1 << e.h_qubit
-    # (P H)[u, :] = H[perm(u), :]
-    r = _perm_image(e.perm, u) if e.kind == H_THEN_PERM else u
-    cols = [r & ~bit, r | bit]
-    if e.kind == PERM_THEN_H:  # (H P)[u, v] = H[u, perm(v)]: the columns are perm-preimages
-        cols = [_perm_image(e.perm, c) for c in cols]
-    cols, vals = np.array(cols), np.array([np.ones_like(r), 1 - 2 * ((r >> e.h_qubit) & 1)])
-    return (cols, vals) if u.ndim else list(zip(cols.tolist(), vals.tolist()))
 
 
 def rewrite_to_th(circuit: Circuit) -> Circuit:
@@ -160,34 +135,19 @@ def fuse_uniform_scale(circuit: Circuit) -> list[UniformScaleGate]:
     return out
 
 
-@dataclass(frozen=True)
-class IntegerObservable:
-    """Clock observable times 2*sqrt(2): every entry exactly in {-1, 0, 1}.
+def build_integer_observable(elements: list[UniformScaleGate], n_qubits: int) -> SparseSymmetricMatrix:
+    """The clock observable of the fused elements, times s = OBSERVABLE_SCALE.
 
-    The true observable is matrix / scale; powers transform covariantly,
-    (matrix^m)_jj = scale^m * (A^m)_jj.
-    """
-
-    matrix: SparseSymmetricMatrix
-    scale: float
-
-
-def build_integer_observable(
-    elements: list[UniformScaleGate], n_qubits: int | None = None
-) -> IntegerObservable:
-    """Assemble the scaled clock observable from uniform-scale elements.
-
-    The weight is 1 because s * (1/2) * (1/sqrt(2)) = 1.  Needs M >= 3 so
-    the two block neighbors of a row never collide; entries then come
-    straight from element_int_row, so they are signed units by construction.
+    It is the norm-1 clock builder at weight s/2 = sqrt(2), so each entry is
+    sqrt(2) times one element entry, exactly +-1 (see the module docstring).
+    Needs M >= 3 so the two block neighbors of a row never collide; the norm
+    bound is s.
     """
     m_count = len(elements)
     if m_count < 3:
         raise ValueError(f"need at least 3 elements to build the clock, got {m_count}")
-    if n_qubits is None:
-        n_qubits = max(e.max_qubit() for e in elements) + 1
-    matrix = assemble_clock(elements, element_int_row, n_qubits, 1.0, OBSERVABLE_SCALE)
-    return IntegerObservable(matrix=matrix, scale=OBSERVABLE_SCALE)
+    blocks = [e.as_fused_gate() for e in elements]
+    return assemble_clock(blocks, n_qubits, OBSERVABLE_SCALE / 2, OBSERVABLE_SCALE)
 
 
 def even_m_thresholds(n_positions: int, m: int) -> tuple[float, float]:
@@ -236,10 +196,10 @@ def reduce_integer(y: Circuit, xs: str | list[int] | tuple[int, ...]) -> Hardnes
     m_count = len(elements)
     power = m_count**3
     g, eps = even_m_thresholds(m_count, power)
-    observable = build_integer_observable(elements, n_qubits=y.n_qubits)
+    matrix = build_integer_observable(elements, n_qubits=y.n_qubits)
     alpha1_sq = accept_probability(y, bits, y.n_qubits - len(bits))
     dee = DeeInstance(
-        matrix=observable.matrix,
+        matrix=matrix,
         j=basis_index(bits),
         m=power,
         g=g,

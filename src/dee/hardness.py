@@ -112,17 +112,16 @@ def clock_unitary_dense(clock: ClockOperator) -> np.ndarray:
     return w
 
 
-def assemble_clock(
-    blocks, row_entries, n_qubits: int, weight: float, norm_bound: float
-) -> SparseSymmetricMatrix:
+def assemble_clock(blocks, n_qubits: int, weight: float, norm_bound: float) -> SparseSymmetricMatrix:
     """weight * (W + W^T) for the clock W = sum_l |l+1 mod M><l| (x) B_l.
 
-    row_entries(B_l, u, n_qubits) with u = arange(2^n) gives the slot arrays
-    (cols, vals) of every row of block l at once.  Row u lands at row
-    (l+1)*2^n + u, column l*2^n + v of W, and mirrored in W^T.  Entries that
-    meet at one position (slots of one fused row, or W and W^T when M = 1)
-    are summed, and zeros are dropped.  A clock past MAX_DIM rows is refused
-    before anything is allocated.
+    One row oracle serves every block, plain or fused: `gate_row_entries`
+    with u = arange(2^n) gives the slot arrays (cols, vals) of every row of
+    block l at once.  Row u lands at row (l+1)*2^n + u, column l*2^n + v of
+    W, and mirrored in W^T.  Entries that meet at one position (the slots of
+    one fused row, or W and W^T when M = 1) are summed, and zeros are
+    dropped.  A clock past MAX_DIM rows is refused before anything is
+    allocated.
     """
     m_pos = len(blocks)
     check_dim(m_pos, n_qubits)
@@ -131,7 +130,7 @@ def assemble_clock(
     u = np.arange(nd)
     rows, cols, vals = [], [], []
     for l, block in enumerate(blocks):
-        block_cols, block_vals = row_entries(block, u, n_qubits)
+        block_cols, block_vals = gate_row_entries(block, u, n_qubits)
         rows.append(np.broadcast_to((l + 1) % m_pos * nd + u, block_cols.shape).ravel())
         cols.append((l * nd + block_cols).ravel())
         vals.append(block_vals.ravel())
@@ -149,7 +148,7 @@ def build_observable(clock: ClockOperator) -> SparseSymmetricMatrix:
     l*2^n + u holds row u of gate l-1 and column u of gate l.  Each gate
     contributes at most 2 nonzeros, hence at most 4 per row.
     """
-    return assemble_clock(clock.gates, gate_row_entries, clock.n_qubits, 0.5, 1.0)
+    return assemble_clock(clock.gates, clock.n_qubits, 0.5, 1.0)
 
 
 def symmetric_overlap(clock: ClockOperator, xs: str | list[int] | tuple[int, ...]) -> float:

@@ -87,6 +87,17 @@ def connected_rows(a, j, levels=math.inf):
     return reached
 
 
+def merged_rows(cols, vals):
+    """Per-row {column: value} of slot arrays, slots summed by column, zeros dropped."""
+    rows = []
+    for u in range(cols.shape[1]):
+        row = {}
+        for c, v in zip(cols[:, u].tolist(), vals[:, u].tolist()):
+            row[c] = row.get(c, -0.0) + v
+        rows.append({c: v for c, v in row.items() if v != 0.0})
+    return rows
+
+
 def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

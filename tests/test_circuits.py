@@ -28,6 +28,8 @@ from dee.circuits import (
     z,
 )
 
+from conftest import merged_rows
+
 ALL_SMALL_GATES = [h(0), x(1), z(0), cnot(0, 1), cnot(2, 0), toffoli(0, 1, 2), rot(1, 0.7)]
 
 
@@ -217,28 +219,22 @@ class TestRowColumnOracles:
         n = 3
         for g in gates:
             u = gate_unitary(g, n)
-            for row in range(2**n):
-                entries = dict(gate_row_entries(g, row, n))
-                dense_row = u[row]
+            rows = merged_rows(*gate_row_entries(g, np.arange(2**n), n))
+            for row, dense_row in zip(rows, u):
                 for col in range(2**n):
-                    assert entries.get(col, 0.0) == pytest.approx(
-                        dense_row[col], abs=1e-12
-                    )
+                    assert row.get(col, 0.0) == pytest.approx(dense_row[col], abs=1e-12)
 
     def test_fused_rows_are_merged(self):
         # H H = I: the two terms of each column meet, and one cancels to 0
-        for u in range(4):
-            entries = gate_row_entries(fused(h(0), h(0)), u, 2)
-            assert len(entries) == 1
-            assert entries[0][0] == u
-            assert entries[0][1] == pytest.approx(1.0, abs=1e-15)
+        cols, vals = gate_row_entries(fused(h(0), h(0)), np.arange(4), 2)
+        for u, row in enumerate(merged_rows(cols, vals)):
+            assert list(row) == [u]
+            assert row[u] == pytest.approx(1.0, abs=1e-15)
 
     def test_permutation_rows_have_one_entry(self):
         for g in (x(0), cnot(0, 1), toffoli(0, 1, 2)):
-            for u in range(8):
-                entries = gate_row_entries(g, u, 3)
-                assert len(entries) == 1
-                assert entries[0][1] == 1.0
+            for row in merged_rows(*gate_row_entries(g, np.arange(8), 3)):
+                assert list(row.values()) == [1.0]
 
 
 class TestBasisIndex:

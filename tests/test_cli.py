@@ -134,6 +134,30 @@ class TestEstimate:
         assert rc == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_unopenable_samples_csv_leaves_no_report(self, triangle_file, tmp_path, capsys):
+        report_path = tmp_path / "rep.txt"
+        rc = main([
+            "estimate", "--matrix", triangle_file, "--j", "0", "--m", "2", "--epsilon", "0.5",
+            "--report", str(report_path), "--samples-csv", str(tmp_path / "nonexistent" / "s.csv"),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not report_path.exists()
+
+    def test_one_file_for_two_outputs_refused(self, triangle_file, tmp_path, capsys):
+        path = tmp_path / "both.txt"
+        rc = main([
+            "estimate", "--matrix", triangle_file, "--j", "0", "--m", "2", "--epsilon", "0.5",
+            "--report", str(path), "--samples-csv", str(path),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one file is named for two outputs" in captured.err
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main([
             "estimate", "--matrix", str(tmp_path / "nope.mat"), "--j", "0",
@@ -363,6 +387,20 @@ class TestReduce:
         assert self.reduce_text(TOFFOLI_CIRCUIT.replace("\n", "\r\n"), tmp_path) == 0
         assert capsys.readouterr().out == lf
 
+    def test_unopenable_meta_leaves_no_matrix(self, tmp_path, capsys):
+        circ = tmp_path / "toff.circ"
+        circ.write_text(TOFFOLI_CIRCUIT)
+        out_matrix = tmp_path / "obs.mat"
+        rc = main([
+            "reduce", "--circuit", str(circ), "--input", "000",
+            "--out-matrix", str(out_matrix), "--out-meta", str(tmp_path / "nonexistent" / "x.meta"),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not out_matrix.exists()
+
     def test_failed_reduction_writes_nothing(self, tmp_path, capsys):
         circ = tmp_path / "rot.circ"
         circ.write_text("QUBITS 1\nROT 0 0.5\n")
@@ -532,6 +570,8 @@ class TestGolden:
         pytest.param(ROT_CIRCUIT, False, "a69b8fca6350307d", id="rot"),
         # the M = 1 clock, the only one where entries of W and W^T meet
         pytest.param("QUBITS 3\n", False, "acdb4c8adc1bd1aa", id="one-position"),
+        # M = 6, 24,576 rows, m = 216: the bench's largest reduce --integer size
+        pytest.param("QUBITS 12\nH 0\nTOFF 0 1 2\nH 3\n", True, "e766104bfdee28c8", id="twelve-qubit-integer"),
     ])
     def test_reduce(self, circuit, integer, want, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from dee.circuits import (
     Circuit,
     circuit_unitary,
     cnot,
+    gate_row_entries,
     gate_unitary,
     h,
     rot,
@@ -23,7 +24,6 @@ from dee.gateset import (
     PERM_THEN_H,
     UniformScaleGate,
     build_integer_observable,
-    element_int_row,
     even_m_thresholds,
     fuse_uniform_scale,
     predicted_integer_diag,
@@ -78,12 +78,12 @@ class TestElements:
         n = 3
         for e in sample_elements():
             dense = gate_unitary(e.as_fused_gate(), n)
+            cols, vals = gate_row_entries(e.as_fused_gate(), np.arange(1 << n), n)
+            assert cols.shape == (2, 1 << n)
             for u in range(1 << n):
-                entries = element_int_row(e, u, n)
-                assert len(entries) == 2
                 row = np.zeros(1 << n)
-                for v, val in entries:
-                    assert val in (-1, 1)
+                for v, val in zip(cols[:, u].tolist(), (OBSERVABLE_SCALE / 2 * vals[:, u]).tolist()):
+                    assert val in (-1.0, 1.0)  # exactly: sqrt(2) * fl(1/sqrt(2)) == 1.0
                     row[v] = val * INV_SQRT2
                 assert np.allclose(row, dense[u], atol=1e-12)
 
@@ -130,30 +130,30 @@ class TestFusion:
 class TestIntegerObservable:
     def test_entries_are_signed_units(self):
         elements = sample_elements()
-        obs = build_integer_observable(elements)
-        for row in obs.matrix.rows:
+        obs = build_integer_observable(elements, 3)
+        for row in obs.rows:
             for _, val in row:
                 assert val in (-1.0, 1.0)
-        assert obs.matrix.max_row_nnz <= 4
-        assert obs.scale == OBSERVABLE_SCALE
+        assert obs.max_row_nnz <= 4
+        assert obs.norm_bound == OBSERVABLE_SCALE
 
     def test_matches_scaled_clock_oracle(self):
         elements = sample_elements()
         n = 3
-        obs = build_integer_observable(elements)
+        obs = build_integer_observable(elements, n)
         m_count = len(elements)
         nd = 1 << n
-        w = np.zeros((obs.matrix.dim, obs.matrix.dim))
+        w = np.zeros((obs.dim, obs.dim))
         for l, e in enumerate(elements):
             block = gate_unitary(e.as_fused_gate(), n)
             dst = (l + 1) % m_count
             w[dst * nd : (dst + 1) * nd, l * nd : (l + 1) * nd] = block
         want = OBSERVABLE_SCALE * 0.5 * (w + w.T)
-        assert np.allclose(obs.matrix.to_dense(), want, atol=1e-12)
+        assert np.allclose(obs.to_dense(), want, atol=1e-12)
 
     def test_too_few_elements_rejected(self):
         with pytest.raises(ValueError):
-            build_integer_observable(sample_elements()[:2])
+            build_integer_observable(sample_elements()[:2], 3)
 
 
 class TestThresholds:

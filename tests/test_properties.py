@@ -22,7 +22,7 @@ from dee.circuits import (
     x,
     z,
 )
-from dee.gateset import H_THEN_PERM, LONE_H, PERM_THEN_H, UniformScaleGate, element_int_row
+from dee.gateset import H_THEN_PERM, LONE_H, OBSERVABLE_SCALE, PERM_THEN_H, UniformScaleGate
 from dee.hardness import ClockOperator, build_observable, clock_unitary_dense
 from dee.sparse import (
     format_matrix,
@@ -33,7 +33,7 @@ from dee.sparse import (
     power_entry_exact,
 )
 
-from conftest import connected_rows
+from conftest import connected_rows, merged_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -182,17 +182,6 @@ def reference_element_row(e, u):
     return [(base, 1), (top, sign)]
 
 
-def merged_rows(cols, vals):
-    """Per-row {column: value} of slot arrays, slots summed by column, zeros dropped."""
-    rows = []
-    for u in range(cols.shape[1]):
-        row = {}
-        for c, v in zip(cols[:, u].tolist(), vals[:, u].tolist()):
-            row[c] = row.get(c, -0.0) + v
-        rows.append({c: v for c, v in row.items() if v != 0.0})
-    return rows
-
-
 @st.composite
 def gates(draw, n, depth=0):
     """One gate on n qubits: any kind, ROT at any angle, fused nested twice."""
@@ -213,18 +202,15 @@ def gates(draw, n, depth=0):
 @SETTINGS
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), gates(n))))
 def test_gate_rows_array_call_matches_row_calls(case):
-    """Per-row calls equal the branchy per-row reference exactly, zero signs
-    included; the array call matches them slot for slot after merging."""
+    """The array call's rows, slots merged, equal the branchy per-row
+    reference exactly, and its slots are sorted by column."""
     n, g = case
     cols, vals = gate_row_entries(g, np.arange(2**n), n)
     assert cols.shape == vals.shape and cols.shape[1] == 2**n
+    assert np.all(np.diff(cols, axis=0) >= 0)
     dense = gate_unitary(g, n)
     for u, row in enumerate(merged_rows(cols, vals)):
-        one = gate_row_entries(g, u, n)
-        want = reference_row_entries(g, u, n)
-        assert one == want
-        assert [math.copysign(1.0, v) for _, v in one] == [math.copysign(1.0, v) for _, v in want]
-        assert row == {c: v for c, v in one if v != 0.0}
+        assert row == {c: v for c, v in reference_row_entries(g, u, n) if v != 0.0}
         assert np.allclose([row.get(c, 0.0) for c in range(2**n)], dense[u], rtol=0.0, atol=1e-12)
 
 
@@ -242,13 +228,13 @@ def elements(draw):
 @SETTINGS
 @given(elements())
 def test_element_rows_array_call_matches_row_calls(case):
+    """sqrt(2) times the fused element's rows is exactly the reference's +-1
+    row: the integer clock's entries rest on this."""
     n, e = case
-    cols, vals = element_int_row(e, np.arange(2**n), n)
+    cols, vals = gate_row_entries(e.as_fused_gate(), np.arange(2**n), n)
     assert cols.shape == vals.shape == (2, 2**n)
-    for u in range(2**n):
-        one = element_int_row(e, u, n)
-        assert sorted(one) == reference_element_row(e, u)
-        assert sorted(zip(cols[:, u].tolist(), vals[:, u].tolist())) == sorted(one)
+    for u, row in enumerate(merged_rows(cols, (OBSERVABLE_SCALE / 2) * vals)):
+        assert sorted(row.items()) == reference_element_row(e, u)
 
 
 def noisy_text(draw, lines):

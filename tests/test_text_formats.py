@@ -237,7 +237,7 @@ def test_format_matches_the_per_entry_formatter_on_clocks(clock):
 @SETTINGS
 @given(st.lists(elements(), min_size=3, max_size=4))
 def test_format_matches_the_per_entry_formatter_on_integer_clocks(cases):
-    a = build_integer_observable([e for _, e in cases], max(n for n, _ in cases)).matrix
+    a = build_integer_observable([e for _, e in cases], max(n for n, _ in cases))
     for integer_values in (False, True):
         got, want = spell_both(a, integer_values)
         assert got == want
