@@ -17,17 +17,36 @@ an analytic sampler that draws from the exact outcome distribution
 
     Pr(a | phase phi) = sin^2(pi T d) / (T^2 sin^2(pi d)),  d = phi - a/T
 
-per eigen-atom by vectorised rejection, which needs no 2^p-sized vector and
-runs at any register width up to p = 62 (outcomes are int64).
+of the eigen-atoms, as a table-plus-tail mixture that needs no 2^p-sized
+vector and runs at any register width up to p = 62 (outcomes are int64).
 `grid_position` is the one map from an eigenvalue to the grid, phi*T =
 centre + frac, and `outcome_law` the one closed form of the law at the
-offsets j from that centre: the full distribution tabulates it, the
-sampler's accept test is it with the division multiplied out (the grid
-position and numerator worked out once per atom, not per shot), and every
-moment and phase-mass check of `dee.verify` sums it over a window of
-offsets around each atom.  Shots are drawn in blocks of 4,096, each block
-from its own Philox stream spawned from the seed, so the outcomes depend
-only on the seed and k.
+offsets j from that centre: the full distribution tabulates it over the
+whole grid, the sampler over |j| <= J = TABLE_HALF_WIDTH, and every moment
+and phase-mass check of `dee.verify` sums it over a window of offsets
+around each atom.
+
+The sampler's mixture holds, per atom of weight w, one cell per offset
+|j| <= J of mass w * law(j), and one tail cell of mass w * num / (2J),
+num = sin^2(pi frac): the mass of the envelope num * e(j), e(j) =
+1/(4i(i-1)) at i = |j|, over i > J, since 2 sum_{i>J} 1/(4i(i-1)) = 1/(2J).
+The envelope dominates the law: for j in (-T/2, T/2] the circular grid
+offset d = j - frac has |d| >= i - 1/2, and sin(pi x) >= 2x on [0, 1/2]
+gives law = num / (T sin(pi d/T))^2 <= num / (2i-1)^2 < num * e(j), as
+(2i-1)^2 = 4i(i-1) + 1.  A shot picks one cell by inverse CDF.  A table
+cell is the outcome centre + j.  A tail cell proposes |j| > J from the
+envelope and accepts it with chance law(j) / (num * e(j)); a rejected shot
+is redrawn from the whole mixture.  Every accepted shot therefore lands on
+offset j with chance proportional to w * law(j), exactly.  The tail's true
+mass, 1 - sum of the table, never enters, so float noise in it cannot send
+a shot into a tail it cannot leave.  Acceptance is bounded below for every
+frac, num included: law / (num * e(j)) = 4i(i-1)/den^2 >= 4i(i-1) /
+(pi^2 (i + 1/2)^2) > 0.38 for i > J, den = T sin(pi d/T), so every block
+ends, even at frac = 1e-12.  At most num / (2J) <= 1.6% of shots reach a
+tail cell.  When T/2 <= J the table is the whole grid: the cell at offset
+-T/2, the outcome +T/2 already holds, and the tail cell get mass 0.
+Shots are drawn in blocks of 4,096, each block from its own Philox stream
+spawned from the seed, so the outcomes depend only on the seed and k.
 
 The analytic sampler works on S, the rows within K steps of psi's support
 (`sparse.reach`), K = max(ceil((m+1)/2), LANCZOS_MIN_STEPS): the first K
@@ -334,47 +353,84 @@ BLOCK_SHOTS = 4096
 # |j| <= 2^(p-1) must fit int64
 MAX_SAMPLED_P = 62
 
+# half-width J of the offset table each atom's law is tabulated over; the
+# sampler's rejection runs only on the offsets |j| > J
+TABLE_HALF_WIDTH = 32
+
 
 def _envelope(j: np.ndarray) -> np.ndarray:
-    """Proposal weight e(j) = 1 for |j| <= 1 and 1/(4i(i-1)) for i = |j| >= 2."""
+    """Tail envelope e(j) = 1/(4i(i-1)) at i = |j| >= 2 (1 at |j| <= 1): num * e
+    dominates `outcome_law` with numerator num at every offset |j| >= 2."""
     i = np.abs(j)
     return 1.0 / np.maximum(4.0 * i * (i - 1.0), 1.0)
 
 
-def _draw_outcomes(
-    centre: np.ndarray, frac: np.ndarray, num: np.ndarray, p: int, gen: np.random.Generator
-) -> np.ndarray:
-    """One outcome a ~ Pr(a | phi) per shot, exactly, by vectorised rejection,
-    given each shot's `grid_position` (centre, frac) and num = sin^2(pi frac).
+def _mixture_cdf(frac: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+    """Normalised CDF over the sampler's cells, atom by atom: each atom's
+    weighted `outcome_law` at the offsets -h..h, h = min(J, T/2), then its
+    tail cell of mass w * num / (2J), num = sin^2(pi frac).
 
-    Proposal: centre a* = round(phi*T) plus an offset j with envelope
-    e(0) = e(+-1) = 1 and e(+-i) = 1/(4i(i-1)) for i >= 2, total mass
-    1 + 2 + 2 * sum_{i>=2} 1/(4i(i-1)) = 3.5.  It dominates the target: for
-    j in (-T/2, T/2] the circular grid offset satisfies |d| >= |j| - 1/2, and
-    sin(pi x) >= 2x on [0, 1/2] gives Pr <= 1/(4 d^2) <= 1/(2i-1)^2, which is
-    below 1/(4i(i-1)) because (2i-1)^2 = 4i(i-1) + 1.  Offsets outside
-    (-T/2, T/2] have target weight 0 and are always rejected, so each
-    round accepts a shot with probability 1/3.5 (~29%).
-
-    The tail magnitude has the closed-form inverse i = 1 + floor(1/U) with U
-    uniform on (0, 1]: Pr(i) = 1/(i-1) - 1/i = 1/(i(i-1)).  Each round draws
-    for the shots still pending, until none are.
+    When T/2 <= J the offsets are the whole grid: offset -T/2 is the same
+    outcome as +T/2, so its cell and the tail cell get mass 0.
     """
     t = 1 << p
-    # accept iff w * e(j) <= outcome_law(frac, j, T), with the law's division
-    # multiplied out; d = 0 gives den = 0 and always accepts
-    offsets = np.empty(len(centre), dtype=np.int64)
-    pending = np.arange(len(centre))
+    h = min(TABLE_HALF_WIDTH, t // 2)
+    w = weights[:, None]
+    cells = np.empty((len(w), 2 * h + 2))
+    outcome_law(frac[:, None], np.arange(-h, h + 1), t, out=cells[:, :-1])
+    cells[:, :-1] *= w
+    if h == t // 2:
+        cells[:, 0] = 0.0
+        cells[:, -1] = 0.0
+    else:
+        cells[:, -1:] = w * np.sin(np.pi * frac[:, None]) ** 2 / (2 * TABLE_HALF_WIDTH)
+    cdf = np.cumsum(cells)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _tail_offsets(frac: np.ndarray, t: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One proposal j per entry of frac from its tail envelope, and whether
+    the rejection test accepts it.
+
+    i = |j| has the closed-form inverse i = 1 + floor(J/U), U uniform on
+    (0, 1]: Pr(i) = J/(i-1) - J/i, proportional to e(i) over i > J, and the
+    sign is uniform.  Accept iff x * den^2 * e(j) <= 1, den = T sin(pi (j -
+    frac)/T), x uniform: that is x * num * e(j) <= `outcome_law(frac, j, T)`
+    with num cancelled.  Offsets outside (-T/2, T/2] have law 0 and are
+    rejected.
+    """
+    u, s, x = gen.random((3, len(frac)))
+    i = 1.0 + np.floor(TABLE_HALF_WIDTH / (1.0 - u))
+    j = np.where(s < 0.5, i, -i)
+    den = t * np.sin(np.pi * (j - frac) / t)
+    keep = (j > -t / 2) & (j <= t / 2) & (x * den * den * _envelope(j) <= 1.0)
+    return j.astype(np.int64), keep
+
+
+def _draw_outcomes(
+    centre: np.ndarray, frac: np.ndarray, cdf: np.ndarray, p: int, gen: np.random.Generator, n: int
+) -> np.ndarray:
+    """n outcomes a ~ sum_atoms w Pr(a | phi), exactly, given each atom's
+    `grid_position` (centre, frac) and its cells' `_mixture_cdf`.
+
+    One inverse-CDF draw per shot picks a cell.  A table cell is the
+    outcome centre + j.  A tail cell proposes an offset by `_tail_offsets`;
+    a rejected shot is redrawn from the whole mixture, until none is left.
+    """
+    t = 1 << p
+    h = min(TABLE_HALF_WIDTH, t // 2)
+    atom = np.empty(n, dtype=np.int64)
+    offset = np.empty(n, dtype=np.int64)
+    pending = np.arange(n)
     while pending.size:
-        u, v, w = gen.random((3, pending.size))
-        pick = 3.5 * u  # [0, 3): j in {-1, 0, 1}; [3, 3.25): +tail; [3.25, 3.5): -tail
-        tail = 1.0 + np.floor(1.0 / (1.0 - v))
-        j = np.where(pick < 3.0, np.floor(pick) - 1.0, np.where(pick < 3.25, tail, -tail))
-        den = t * np.sin(np.pi * (j - frac[pending]) / t)
-        keep = (j > -t / 2) & (j <= t / 2) & (w * _envelope(j) * den * den <= num[pending])
-        offsets[pending[keep]] = j[keep]
+        atom[pending], cell = np.divmod(_pick(cdf, pending.size, gen), 2 * h + 2)
+        offset[pending] = cell - h
+        pending = pending[cell == 2 * h + 1]
+        j, keep = _tail_offsets(frac[atom[pending]], t, gen)
+        offset[pending[keep]] = j[keep]
         pending = pending[~keep]
-    return (centre + offsets) % t
+    return (centre[atom] + offset) % t
 
 
 def _pick(cdf: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -398,11 +454,14 @@ def sample_measurements(
     Registers wider than MAX_SAMPLED_P bits are refused before any draw.
     The analytic backend samples the Lanczos Gauss rule of the module
     docstring on the rows S psi reaches in K steps, building A densely only
-    when S has at most K rows; it refuses a run whose Lanczos basis or dense
-    matrix would pass MAX_DENSE_DIM**2 entries before building either.  The
-    statevector backend always builds A densely, after its qubit budget
-    check.  Atoms of A/b outside [-1, 1] are refused: past K rows
-    these are the rule's nodes, not the eigenvalues of A.
+    when S has at most K rows, and draws each block from the rule's
+    table-plus-tail mixture (`_mixture_cdf`, `_draw_outcomes`).  It refuses
+    a run whose Lanczos basis or dense matrix would pass MAX_DENSE_DIM**2
+    entries before building either; the table then holds at most
+    MAX_DENSE_DIM * (2J + 2) cells.  The statevector backend always builds
+    A densely, after its qubit budget check.  Atoms of A/b outside [-1, 1]
+    are refused: past K rows these are the rule's nodes, not the
+    eigenvalues of A.
     """
     if backend is None:
         backend = analytic_backend()
@@ -432,12 +491,10 @@ def sample_measurements(
         else:  # K >= |S|: the rule would be the induced measure, cheaper densely
             measure = induced_measure(eig_sym(sub.to_dense() / b), psi[rows])
         centre, frac = grid_position(measure.values, params.p)
-        num = np.sin(np.pi * frac) ** 2  # the law's numerator, once per atom
-        cdf = np.cumsum(measure.weights)
+        cdf = _mixture_cdf(frac, measure.weights, params.p)
 
         def draw_block(gen: np.random.Generator, n: int) -> np.ndarray:
-            atom = _pick(cdf, n, gen)
-            return _draw_outcomes(centre[atom], frac[atom], num[atom], params.p, gen)
+            return _draw_outcomes(centre, frac, cdf, params.p, gen, n)
 
     children = np.random.SeedSequence(seed).spawn(-(-params.k // BLOCK_SHOTS))
     out = np.empty(params.k, dtype=np.int64)

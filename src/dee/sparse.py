@@ -201,8 +201,17 @@ def adjacency_from_edges(n: int, edges: list[tuple[int, int]]) -> SparseSymmetri
 
 
 def gershgorin_bound(a: SparseSymmetricMatrix) -> float:
-    """max_i sum_j |A_ij|, an upper bound on the spectral norm."""
-    return max(math.fsum(row) for row in np.abs(a.vals).tolist())
+    """max_i sum_j |A_ij|, an upper bound on the spectral norm, correctly rounded.
+
+    A float sum of s nonnegative terms lies within (s - 1) u of the exact sum
+    (u = 2^-53, in any order), so a row whose float sum falls short of the
+    largest by more than twice that cannot hold the exact maximum:
+    `math.fsum` runs only on the rows within 4 s eps (eps = 2u) of it.
+    """
+    mags = np.abs(a.vals)
+    sums = mags.sum(axis=1)
+    near = sums >= sums.max() * (1.0 - 4.0 * a.max_row_nnz * np.finfo(np.float64).eps)
+    return max(math.fsum(row) for row in mags[near].tolist())
 
 
 def matvec(a: SparseSymmetricMatrix, v: np.ndarray) -> np.ndarray:

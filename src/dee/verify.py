@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dee.sparse import SparseSymmetricMatrix, from_coordinate_list, power_diag_exact
+from dee.sparse import SparseSymmetricMatrix, from_coordinate_arrays, power_diag_exact
 from dee.spectral import SpectralMeasure, eig_sym, induced_measure, signed_power
 from dee.qpe import (
     QpeParams,
@@ -70,24 +70,21 @@ def _check(name: str, bound: float, measured: float) -> BoundCheck:
 
 
 def random_sparse_symmetric(rng: np.random.Generator, n: int) -> SparseSymmetricMatrix:
-    """Random symmetric matrix with a handful of entries per row, |values| <= 1."""
-    entries: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for i in range(n):
-        if rng.random() < 0.7:
-            entries.append((i, i, float(rng.uniform(-1.0, 1.0))))
-            seen.add((i, i))
-    for _ in range(2 * n):
-        i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        key = (min(i, j), max(i, j))
-        if i == j or key in seen:
-            continue
-        seen.add(key)
-        entries.append((i, j, float(rng.uniform(-1.0, 1.0))))
-    if not entries:
-        entries.append((0, 0, 1.0))
-    return from_coordinate_list(n, entries)
+    """Random symmetric matrix with a handful of entries per row, |values| <= 1.
+
+    Each diagonal entry is present with chance 0.7; 2n index pairs are drawn,
+    and each off-diagonal pair keeps its first draw.
+    """
+    diag = np.flatnonzero(rng.random(n) < 0.7)
+    pairs = np.sort(rng.integers(0, n, size=(2 * n, 2)), axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    first = np.sort(np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)[1])
+    i, j = pairs[first].T
+    if not diag.size and not i.size:
+        return from_coordinate_arrays(n, [0], [0], [1.0])
+    dv, ov = rng.uniform(-1.0, 1.0, diag.size), rng.uniform(-1.0, 1.0, i.size)
+    rows, cols = np.concatenate([diag, i, j]), np.concatenate([diag, j, i])
+    return from_coordinate_arrays(n, rows, cols, np.concatenate([dv, ov, ov]))
 
 
 # (m, eps) schedule at p = 12, 16, 18 and 18, so the battery sums both

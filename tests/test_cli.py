@@ -554,12 +554,14 @@ class TestGolden:
     depend on where the test runs.
     """
 
-    def digest(self, argv, capsys, written=None):
+    def digest(self, argv, capsys, written=None, check=None):
         import hashlib
         from pathlib import Path
 
         assert main(argv) == 0
         blob = capsys.readouterr().out
+        if check:
+            check(blob)
         if written:
             blob += Path(written).read_text()
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -591,10 +593,21 @@ class TestGolden:
         got = self.digest(["exact", "--matrix", "g.mat", "--j", "1", "--m", "9"] + extra, capsys)
         assert got == want
 
-    # sampled commands: the digests pin the sampler's draws and verify's sums too
+    # sampled commands: the digests pin the sampler's draws and verify's sums
+    # too, and each report is also checked against the exact value it claims
+    @staticmethod
+    def within_tolerance(out):
+        report = report_dict(out)
+        tol = float(report["epsilon"]) * float(report["b"]) ** int(report["m"])
+        assert abs(float(report["estimate"]) - float(report["exact"])) <= tol
+
+    @staticmethod
+    def all_passed(out):
+        assert out.splitlines()[-1] == "verify-bounds: PASS"
+
     @pytest.mark.parametrize("extra, want", [
-        pytest.param([], "f244c1c3bc10b1d8", id="diagonal"),
-        pytest.param(["--i", "3"], "3dea8ed26f24625d", id="offdiagonal"),
+        pytest.param([], "a031c052f0888804", id="diagonal"),
+        pytest.param(["--i", "3"], "68170de5d86a4133", id="offdiagonal"),
         pytest.param(["--backend", "statevector"], "31637c6df38ab8a7", id="statevector"),
     ])
     def test_estimate(self, extra, want, tmp_path, monkeypatch, capsys):
@@ -602,7 +615,7 @@ class TestGolden:
         (tmp_path / "g.mat").write_text(GOLDEN_MATRIX)
         argv = ["estimate", "--matrix", "g.mat", "--j", "1", "--m", "2", "--epsilon", "0.5",
                 "--g", "0.1", "--seed", "7"]
-        assert self.digest(argv + extra, capsys) == want
+        assert self.digest(argv + extra, capsys, check=self.within_tolerance) == want
 
     def test_estimate_at_p46(self, tmp_path, monkeypatch, capsys):
         """A 2-qubit, 6-gate circuit's reduction: clock length 13, so p = 46."""
@@ -614,16 +627,17 @@ class TestGolden:
         argv = ["estimate", "--matrix", "o.mat", "--b", "1.0", "--seed", "3"]
         argv += [arg for key in ("j", "m", "g", "epsilon") for arg in (f"--{key}", meta[key])]
         assert meta["m"] == "2197" and meta["epsilon"] == repr(1 / 52)  # p = 2 ceil(log2(48 m / eps)) = 46
-        assert self.digest(argv, capsys) == "826298c96f394819"
+        assert self.digest(argv, capsys, check=self.within_tolerance) == "d569c0a49baa4b7b"
 
     def test_paths(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.graph").write_text(SQUARE_GRAPH)
         argv = ["paths", "--graph", "s.graph", "--j", "2", "--m", "4", "--seed", "5"]
-        assert self.digest(argv, capsys) == "83d3dd33ea4414b0"
+        assert self.digest(argv, capsys, check=self.within_tolerance) == "e32978b04ac69750"
 
     def test_verify_bounds(self, capsys):
-        assert self.digest(["verify-bounds", "--matrices", "2", "--trials", "2"], capsys) == "4e7e9bc70bd333ec"
+        argv = ["verify-bounds", "--matrices", "2", "--trials", "2"]
+        assert self.digest(argv, capsys, check=self.all_passed) == "ba62b8dd75c08ebd"
 
 
 def hash_of(text, argv=("--j", "0", "--m", "1", "--epsilon", "1.0")):

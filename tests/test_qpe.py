@@ -9,14 +9,20 @@ from dee.qpe import (
     BLOCK_SHOTS,
     LANCZOS_MIN_STEPS,
     MAX_SAMPLED_P,
+    TABLE_HALF_WIDTH,
     QpeParams,
+    _draw_outcomes,
     _envelope,
+    _mixture_cdf,
+    _pick,
+    _tail_offsets,
     analytic_backend,
     choose_params,
     eigenphase,
     estimate_diag,
     estimate_from_outcomes,
     estimate_offdiag,
+    grid_position,
     moment_of_distribution,
     outcome_law,
     outcome_to_z,
@@ -408,6 +414,148 @@ class TestBlockSampler:
         assert np.all((widest >= 0) & (widest < 1 << MAX_SAMPLED_P))
         with pytest.raises(ValueError, match="p <= 62"):
             sample_measurements(matrix, 1.0, psi, _params_at_width(MAX_SAMPLED_P + 2, 100))
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _tv_tolerance(want, k):
+    """Three times the bound sum_i sqrt(q_i (1 - q_i) / k) / 2 on E[TV]."""
+    return 1.5 * float(np.sum(np.sqrt(want * (1.0 - want) / k)))
+
+
+class _Uniforms:
+    """Generator stand-in whose `random(n)` returns the first n of fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, n):
+        return self.values[:n]
+
+
+class TestTableSampler:
+    @staticmethod
+    def _measure(p):
+        """Atoms at frac = +1/2 and -1/2, at dyadic phases and at two generic
+        points, kept to |lambda| <= 1."""
+        t = 1 << p
+        lams = [0.0, math.pi / t, -math.pi / t, 2.0 * math.pi / t, -4.0 * math.pi / t, 0.3, -0.77]
+        lams = [lam for lam in lams if abs(lam) <= 1.0]
+        weights = np.arange(2.0, 2.0 + len(lams))
+        return make_measure(list(zip(lams, weights / weights.sum())))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_whole_grid_table_matches_analytic_law(self, p):
+        # T/2 <= J: the cells are the whole law, so their masses are the
+        # exact distribution, and draws match it in total variation
+        t, k = 1 << p, 200_000
+        measure = self._measure(p)
+        exact = qpe_distribution_analytic(measure, p)
+        centre, frac = grid_position(measure.values, p)
+        cdf = _mixture_cdf(frac, measure.weights, p)
+        cells = np.diff(cdf, prepend=0.0).reshape(len(frac), t + 2)
+        table = np.zeros(t)
+        np.add.at(table, (centre[:, None] + np.arange(-t // 2, t // 2 + 1)) % t, cells[:, :-1])
+        assert np.allclose(table, exact, rtol=0, atol=1e-12)
+        draws = _draw_outcomes(centre, frac, cdf, p, _philox(p), k)
+        assert total_variation(np.bincount(draws, minlength=t) / k, exact) < _tv_tolerance(exact, k)
+
+    @pytest.mark.parametrize("p", [3, 12])
+    def test_zero_mass_cells_are_never_drawn(self, p):
+        # uniforms on every CDF step, and at both ends of [0, 1), pick only
+        # cells of positive mass: at p = 3 the -T/2 and tail cells are empty,
+        # at p = 12 every cell of a dyadic atom but its centre is
+        t = 1 << p
+        # weights summing to just under 1, as a measure's may
+        measure = make_measure([(0.0, 0.25), (-2.0 * math.pi / t, 0.25), (0.3, 0.5 - 1e-10)])
+        centre, frac = grid_position(measure.values, p)
+        cdf = _mixture_cdf(frac, measure.weights, p)
+        assert cdf[-1] == 1.0
+        mass = np.diff(cdf, prepend=0.0)
+        h = min(TABLE_HALF_WIDTH, t // 2)
+        cells = mass.reshape(-1, 2 * h + 2)  # offsets -h..h, then the tail
+        if t // 2 <= TABLE_HALF_WIDTH:
+            assert not cells[:, [0, -1]].any()
+        else:
+            dyadic = cells[frac == 0.0]
+            assert len(dyadic) == 2 and not np.delete(dyadic, h, axis=1).any()
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0]])
+        picked = _pick(cdf, len(u), _Uniforms(u))
+        assert np.all(mass[picked] > 0.0)
+        # dyadic atoms alone draw their centres and nothing else
+        only = make_measure([(0.0, 0.5), (-2.0 * math.pi / t, 0.5)])
+        centre, frac = grid_position(only.values, p)
+        draws = _draw_outcomes(centre, frac, _mixture_cdf(frac, only.weights, p), p, _philox(3), BLOCK_SHOTS)
+        assert set(np.unique(draws).tolist()) == {0, t - 1}
+
+    def test_tail_offsets_match_closed_form_at_p40(self):
+        # frac ~ 1/2 puts the most mass past the table; bins: each offset in
+        # [-J, J], then |j| in (J, 2J], (2J, 4J], ... up to 2^16 on each side,
+        # then the rest
+        p, k = 40, 200_000
+        t, jj, w = 1 << p, TABLE_HALF_WIDTH, 1 << 16
+        lam = 2.0 * math.pi * ((1 << 36) + 0.5) / t
+        x0 = eigenphase(lam) * t
+        centre = round(x0)
+        assert abs(abs(x0 - centre) - 0.5) < 1e-3
+        window = np.arange(-w, w + 1)
+        law = _offset_law(window, x0 - centre, t)
+        edges = [jj]
+        while edges[-1] < w:
+            edges.append(min(2 * edges[-1], w))
+
+        def bins(offset, mass):
+            inner = np.bincount(offset[np.abs(offset) <= jj] + jj, mass[np.abs(offset) <= jj], 2 * jj + 1)
+            outer = [mass[(sign * offset > lo) & (sign * offset <= hi)].sum()
+                     for sign in (1, -1) for lo, hi in zip(edges, edges[1:])]
+            return np.concatenate([inner, outer])
+        want = bins(window, law)
+        want = np.append(want, 1.0 - want.sum())
+        matrix = from_coordinate_list(1, [(0, 0, lam)])
+        draws = sample_measurements(matrix, 1.0, np.array([1.0]), _params_at_width(p, k), seed=23)
+        offset = (draws - centre + t // 2) % t - t // 2
+        got = bins(offset, np.ones(k))
+        got = np.append(got, k - got.sum()) / k
+        # the share past the table within 5 binomial deviations of its law
+        past = 1.0 - want[: 2 * jj + 1].sum()
+        share = np.count_nonzero(np.abs(offset) > jj) / k
+        assert abs(share - past) < 5.0 * math.sqrt(past * (1.0 - past) / k)
+        assert total_variation(got, want) < _tv_tolerance(want, k)
+
+    @pytest.mark.parametrize("p, frac", [(62, 1e-12), (62, 0.5), (7, 1e-12), (7, 0.5), (7, -0.5)])
+    def test_tail_envelope_dominates_and_bounds_the_law(self, p, frac):
+        # law <= num e(j), and law / (num e(j)) >= 4i(i-1) / (pi^2 (i + 1/2)^2),
+        # on offsets past the table, up to T/2
+        t = 1 << p
+        i = np.concatenate([np.arange(TABLE_HALF_WIDTH + 1, TABLE_HALF_WIDTH + 200), t // 2 - np.arange(50)])
+        i = np.unique(i[(i > TABLE_HALF_WIDTH) & (i <= t // 2)]).astype(np.float64)
+        num = math.sin(math.pi * frac) ** 2
+        for j in (i, -i[i < t // 2]):
+            ratio = outcome_law(frac, j, t) / (num * _envelope(j))
+            assert np.all(ratio <= 1.0 + 1e-12)
+            i_ = np.abs(j)
+            assert np.all(ratio >= 4.0 * i_ * (i_ - 1.0) / (math.pi * (i_ + 0.5)) ** 2 * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("p, frac", [(62, 1e-12), (7, 1e-12), (7, 0.5)])
+    def test_redraws_are_bounded(self, p, frac):
+        # each tail proposal is accepted with chance at least
+        # 4J(J+1) / (pi^2 (J + 3/2)^2) times its chance of landing in
+        # (-T/2, T/2], whatever frac; and a block drawn from the mixture ends
+        t, n, jj = 1 << p, 100_000, TABLE_HALF_WIDTH
+        floor = 4.0 * jj * (jj + 1.0) / (math.pi * (jj + 1.5)) ** 2
+        half = t // 2
+        in_range = 1.0 - jj / half - 0.5 * (jj / (half - 1) - jj / half)
+        bound = floor * in_range
+        j, keep = _tail_offsets(np.full(n, frac), t, _philox(p))
+        assert np.all(np.abs(j) > jj)
+        assert np.all((j[keep] > -half) & (j[keep] <= half))
+        assert keep.mean() >= bound - 5.0 * math.sqrt(bound * (1.0 - bound) / n)
+        centre = np.array([1 << (p - 2)])
+        cdf = _mixture_cdf(np.array([frac]), np.array([1.0]), p)
+        draws = _draw_outcomes(centre, np.array([frac]), cdf, p, _philox(p + 1), BLOCK_SHOTS)
+        assert draws.shape == (BLOCK_SHOTS,) and np.all((draws >= 0) & (draws < t))
 
 
 class TestEstimators:

@@ -11,6 +11,7 @@ from dee.sparse import (
     adjacency_from_edges,
     decide,
     format_matrix,
+    from_coordinate_arrays,
     from_coordinate_list,
     gershgorin_bound,
     matvec,
@@ -173,6 +174,42 @@ class TestLinearAlgebra:
         a = from_coordinate_list(3, [(i, i, 1.0) for i in range(3)])
         for m in (1, 5, 40):
             assert power_diag_exact(a, 1, m) == 1.0
+
+
+def _fsum_reference(a):
+    """max over every row of math.fsum |A_ij|: the correctly rounded bound."""
+    return max(math.fsum(row) for row in np.abs(a.vals).tolist())
+
+
+class TestGershgorinBound:
+    def test_matches_all_rows_fsum(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            a = random_sparse_matrix(rng, n)
+            scaled = from_coordinate_list(n, [(i, j, v * 1e300) for i, row in enumerate(a.rows)
+                                              for j, v in row if i <= j])
+            for b in (a, scaled):
+                assert gershgorin_bound(b) == _fsum_reference(b)
+
+    def test_near_tied_rows(self):
+        # row 0's float sum is 1.0, below row 6's 1 + ulp, but its exact sum
+        # 1 + 2.45 ulp is the largest (ulp = 2^-52)
+        ulp = 2.0**-52
+        entries = [(0, 0, 1.0)] + [(0, c, 0.49 * ulp) for c in range(1, 6)] + [(6, 6, 1.0 + ulp)]
+        a = from_coordinate_list(7, entries)
+        assert gershgorin_bound(a) == _fsum_reference(a) == 1.0 + 2 * ulp
+        # every row tied: a cycle's adjacency
+        cycle = adjacency_from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
+        assert gershgorin_bound(cycle) == _fsum_reference(cycle) == 2.0
+
+    def test_tridiagonal_at_2_20_rows(self):
+        n = 1 << 20
+        gen = np.random.default_rng(2)
+        d, o = gen.uniform(-1.0, 1.0, n), gen.uniform(-1.0, 1.0, n - 1)
+        i = np.arange(n)
+        rows, cols = np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])
+        a = from_coordinate_arrays(n, rows, cols, np.concatenate([d, o, o]), norm_bound=1.0)
+        assert gershgorin_bound(a) == _fsum_reference(a)
 
 
 class TestInstance:
