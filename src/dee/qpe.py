@@ -21,10 +21,12 @@ of the eigen-atoms, as a table-plus-tail mixture that needs no 2^p-sized
 vector and runs at any register width up to p = 62 (outcomes are int64).
 `grid_position` is the one map from an eigenvalue to the grid, phi*T =
 centre + frac, and `outcome_law` the one closed form of the law at the
-offsets j from that centre: the full distribution tabulates it over the
-whole grid, the sampler over |j| <= J = TABLE_HALF_WIDTH, and every moment
-and phase-mass check of `dee.verify` sums it over a window of offsets
-around each atom.
+offsets j from that centre.  It reads the offsets through their
+`offset_basis`, T sin(pi j/T) and T cos(pi j/T), and reaches each phase by
+angle addition, so the sines are paid once per set of offsets, not once
+per phase: the full distribution evaluates it over the whole grid, the
+sampler over |j| <= J = TABLE_HALF_WIDTH, and every moment and phase-mass
+check of `dee.verify` over a window of offsets around each atom.
 
 The sampler's mixture holds, per atom of weight w, one cell per offset
 |j| <= J of mass w * law(j), and one tail cell of mass w * num / (2J),
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +211,8 @@ def grid_position(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(centre, frac) of each eigenvalue's phase on the 2^p outcome grid:
     phi*T = centre + frac, centre = round(phi*T) as int64 and |frac| <= 1/2.
 
-    The one eigenvalue-to-grid map: `outcome_law(frac, j, T)` is then the
-    chance of outcome (centre + j) mod T.  Eigenvalues outside [-1, 1] are
+    The one eigenvalue-to-grid map: `outcome_law` at frac and offset j is
+    then the chance of outcome (centre + j) mod T.  Eigenvalues outside [-1, 1] are
     refused.
     """
     lam = np.asarray(values, dtype=np.float64)
@@ -220,28 +223,54 @@ def grid_position(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return centre.astype(np.int64), x0 - centre
 
 
-def outcome_law(
-    frac: float | np.ndarray, offsets: np.ndarray, t: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Pr(round(phi*T) + j | phi) for offsets j, with frac = phi*T - round(phi*T).
+class OffsetBasis(NamedTuple):
+    """T sin(pi j/T) and T cos(pi j/T) at grid offsets j of a 2^p grid."""
+
+    t: int
+    sin: np.ndarray
+    cos: np.ndarray
+
+
+def offset_basis(offsets: np.ndarray, t: int) -> OffsetBasis:
+    """The basis `outcome_law` evaluates a law over, at the given offsets.
+
+    Offsets must lie in [-T/2, T/2]: float sin(k pi) is not 0, so an offset
+    of +-T would not give the exact point mass.  The two passes of sines
+    here are the only ones a law over these offsets takes, however many
+    phases are evaluated over them.
+    """
+    angle = np.multiply(offsets, np.pi / t)  # T is a power of 2, so this rounds as pi * j / T does
+    sin = np.sin(angle)
+    sin *= t
+    cos = np.cos(angle, out=angle)
+    cos *= t
+    return OffsetBasis(t, sin, cos)
+
+
+def outcome_law(frac: float | np.ndarray, basis: OffsetBasis, out: np.ndarray | None = None) -> np.ndarray:
+    """Pr(round(phi*T) + j | phi) at the offsets j of `basis`, with
+    frac = phi*T - round(phi*T).
 
     The phase-estimation law sin^2(pi T d) / (T^2 sin^2(pi d)) at d = phi - a/T
     (Cleve, Ekert, Macchiavello and Mosca 1998), written at the grid offset
-    j - frac: sin^2(pi frac) / (T sin(pi (j - frac) / T))^2, and 1 where the
-    denominator is 0.  Offsets must lie in [-T/2, T/2]: float sin(k pi) is
-    not 0, so an offset of +-T would not give the exact point mass.  frac and
-    offsets broadcast.  The law is computed in place in one array: `out` if
-    given, else a new one.
+    j - frac: num / (T sin(pi (j - frac)/T))^2 with num = sin^2(pi frac).
+    The denominator comes by angle addition from the basis: with c and s
+    the cosine and sine of pi frac/T, T sin(pi (j - frac)/T) =
+    c (T sin(pi j/T) - T cos(pi j/T) s/c), so a phase costs a few multiply
+    passes over the offsets and no sine of its own.  The law is at most 1,
+    and the denominator vanishes only where the law is 1 (j = frac = 0, or
+    j = 0 with sin(pi frac/T) underflowing): num/0 is inf or nan there, and
+    the final fmin(law, 1) makes both 1.  frac and the basis broadcast.
+    The law is computed in place in one array: `out` if given, else a new one.
     """
-    law = np.subtract(offsets, frac, out=out)
-    law *= np.pi / t  # T is a power of 2, so this rounds as pi * x / T does
-    np.sin(law, out=law)
-    law *= t
+    angle = np.multiply(frac, np.pi / basis.t)
+    c = np.cos(angle)
+    law = np.multiply(basis.cos, -np.sin(angle) / c, out=out)
+    law += basis.sin
     law *= law
-    zero = law == 0.0
-    np.divide(np.sin(np.pi * frac) ** 2, law, out=law, where=~zero)
-    law[zero] = 1.0
-    return law
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.sin(np.pi * frac) ** 2 / (c * c), law, out=law)
+    return np.fmin(law, 1.0, out=law)
 
 
 def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
@@ -257,11 +286,11 @@ def qpe_distribution_analytic(measure: SpectralMeasure, p: int) -> np.ndarray:
         raise ValueError(f"p={p} needs a 2^{p}-entry vector; sample instead")
     t = 1 << p
     half = t // 2
-    offsets = np.arange(-half, half)
+    basis = offset_basis(np.arange(-half, half), t)
     out = np.zeros(t)
     for centre, frac, w in zip(*grid_position(measure.values, p), measure.weights):
         # offset j is outcome (centre + j) mod T, at index j + T/2
-        out += np.roll(w * outcome_law(frac, offsets, t), centre - half)
+        out += np.roll(w * outcome_law(frac, basis), centre - half)
     return out
 
 
@@ -377,7 +406,7 @@ def _mixture_cdf(frac: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
     h = min(TABLE_HALF_WIDTH, t // 2)
     w = weights[:, None]
     cells = np.empty((len(w), 2 * h + 2))
-    outcome_law(frac[:, None], np.arange(-h, h + 1), t, out=cells[:, :-1])
+    outcome_law(frac[:, None], offset_basis(np.arange(-h, h + 1), t), out=cells[:, :-1])
     cells[:, :-1] *= w
     if h == t // 2:
         cells[:, 0] = 0.0
@@ -396,7 +425,7 @@ def _tail_offsets(frac: np.ndarray, t: int, gen: np.random.Generator) -> tuple[n
     i = |j| has the closed-form inverse i = 1 + floor(J/U), U uniform on
     (0, 1]: Pr(i) = J/(i-1) - J/i, proportional to e(i) over i > J, and the
     sign is uniform.  Accept iff x * den^2 * e(j) <= 1, den = T sin(pi (j -
-    frac)/T), x uniform: that is x * num * e(j) <= `outcome_law(frac, j, T)`
+    frac)/T), x uniform: that is x * num * e(j) <= `outcome_law` at j
     with num cancelled.  Offsets outside (-T/2, T/2] have law 0 and are
     rejected.
     """

@@ -16,9 +16,15 @@ bound:
 The four randomized checks draw their instances (budget, matrix, j and the
 measure e_j induces on A/b) from one generator, each from its own seed.
 They read one per-atom walk: each atom's `qpe.grid_position` and its
-`outcome_law` over the offsets [-h, h] within [-T/2, T/2), with no 2^p
-vector.  The three moment checks take h = WINDOW (`window_sums`).  Since
-|z| <= 1, the law mass outside the window bounds how far E[Z^m] can lie
+`outcome_law` over the offsets [-h, h] within [-T/2, T/2), so no array
+has more than 2 WINDOW + 1 entries, whatever p.  The atoms of a check
+share two tables: the offsets' `qpe.offset_basis`, from which each law
+follows by angle addition without a sine of its own, and z^m over the
+outcomes a window covers, decoded once per outcome set.  While the window
+is the whole grid every atom covers the same set, so that is one T-entry
+table per (p, m), which each atom reads rotated to its centre.  The
+three moment checks take h = WINDOW (`window_sums`).  Since |z| <= 1, the
+law mass outside the window bounds how far E[Z^m] can lie
 from the windowed sum, and each check adds it to its measured value, so
 every measured value is an upper bound on the true one.  While
 T/2 <= WINDOW (p <= 17) the window is the whole law and the sums are exact.
@@ -43,6 +49,7 @@ from dee.qpe import (
     estimate_from_outcomes,
     grid_position,
     moment_of_distribution,
+    offset_basis,
     outcome_law,
     outcomes_to_z,
     qpe_distribution_unitary,
@@ -96,23 +103,6 @@ _FAIL_PROB = 0.05
 WINDOW = 1 << 16
 
 
-def _window_laws(values: np.ndarray, p: int, h: int):
-    """(offsets, laws): the grid offsets [-h, h] within [-T/2, T/2), and an
-    iterator over each eigenvalue's (centre, frac, law), its `grid_position`
-    and its `outcome_law` over those offsets.
-
-    Every law is computed into one array, so a law is valid only until the
-    next is drawn (fresh arrays per atom page-faulted enough to slow the
-    battery by a third).
-    """
-    t = 1 << p
-    offsets = np.arange(max(-h, -(t // 2)), min(h + 1, t // 2))
-    law = np.empty(len(offsets))
-    centres, fracs = grid_position(values, p)
-    laws = ((c, f, outcome_law(f, offsets, t, out=law)) for c, f in zip(centres.tolist(), fracs.tolist()))
-    return offsets, laws
-
-
 class WindowSums(NamedTuple):
     """Per atom, its law summed over the window of `window_sums`."""
 
@@ -120,19 +110,78 @@ class WindowSums(NamedTuple):
     tail: np.ndarray  # law mass outside the window, so |E[Z^m] - S| <= tail
 
 
+class _WindowWalk:
+    """The per-atom walk of one instance stream, and the two tables its
+    atoms share: the `offset_basis` of the latest (p, window), and z^m over
+    the latest outcome set a window covers.
+
+    z^m depends on the outcome alone.  A window of h around each atom covers
+    the outcomes (centre + j) mod T, j in [lo, hi] = [-h, h] cut to
+    [-T/2, T/2), which is one set whatever the centre when it is the whole
+    grid (T/2 <= h), and the atom's own set otherwise.  Each table is
+    rebuilt only when its key changes, and the walk holds only the latest
+    of each, so nothing outlives the check that made the walk.
+    """
+
+    def __init__(self) -> None:
+        self._basis_key = self._z_key = self.basis = self.law = None
+        self._zm = np.empty(0)
+
+    def _window(self, p: int, h: int) -> int:
+        """lo, after fitting `basis` and the `law` buffer to the offsets [lo, hi]."""
+        t = 1 << p
+        lo, hi = max(-h, -(t // 2)), min(h, t // 2 - 1)
+        if self._basis_key != (p, lo, hi):
+            self.basis = self.law = None  # release the old tables before building the new
+            self.basis = offset_basis(np.arange(lo, hi + 1, dtype=np.float64), t)
+            self._basis_key, self.law = (p, lo, hi), np.empty(hi - lo + 1)
+        return lo
+
+    def _z_power(self, p: int, m: int, start: int, count: int) -> np.ndarray:
+        """z^m of the outcomes (start + i) mod T, i < count."""
+        if self._z_key != (p, m, start, count):
+            if len(self._zm) != count:
+                self._zm = None
+                self._zm = np.empty(count)
+            outcomes = np.arange(start, start + count, dtype=np.int64)
+            outcomes &= (1 << p) - 1
+            np.power(outcomes_to_z(outcomes, p, out=self._zm), m, out=self._zm)
+            self._z_key = (p, m, start, count)
+        return self._zm
+
+    def sums(self, values: np.ndarray, p: int, m: int) -> WindowSums:
+        t = 1 << p
+        lo = self._window(p, WINDOW)
+        count = len(self.law)
+        centres, fracs = grid_position(values, p)
+        sums = np.empty((2, len(values)))
+        for i, (centre, frac) in enumerate(zip(centres.tolist(), fracs.tolist())):
+            first = (centre + lo) % t  # the outcome at offset lo
+            start = first if count < t else 0  # a whole-grid window covers one set
+            z = self._z_power(p, m, start, count)
+            law = outcome_law(frac, self.basis, out=self.law)
+            r = first - start  # offset lo + k is outcome start + (r + k) mod count
+            moment = np.dot(law[: count - r], z[r:]) + np.dot(law[count - r :], z[:r])
+            sums[:, i] = moment, max(0.0, 1.0 - float(np.sum(law)))
+        return WindowSums(*sums)
+
+    def phase_mass(self, values: np.ndarray, p: int, eta: float) -> np.ndarray:
+        t = 1 << p
+        inside = eta * t
+        lo = self._window(p, min(math.ceil(inside), WINDOW))
+        hi = lo + len(self.law) - 1
+        masses = []
+        for frac in grid_position(values, p)[1].tolist():
+            # the offsets j with |j - frac| < inside
+            a, b = max(math.floor(frac - inside) + 1, lo), min(math.ceil(frac + inside) - 1, hi)
+            masses.append(float(np.sum(outcome_law(frac, self.basis, out=self.law)[a - lo : b - lo + 1])))
+        return np.array(masses)
+
+
 def window_sums(values: np.ndarray, p: int, m: int) -> WindowSums:
     """The two sums the moment checks read from each eigenvalue's law over
     the offsets |j| <= WINDOW, or over all of [-T/2, T/2) when T/2 <= WINDOW."""
-    t = 1 << p
-    offsets, laws = _window_laws(values, p, WINDOW)
-    outcomes, zm = np.empty_like(offsets), np.empty(len(offsets))
-    sums = np.empty((2, len(values)))
-    for i, (centre, _, law) in enumerate(laws):
-        np.add(offsets, centre, out=outcomes)
-        outcomes &= t - 1
-        np.power(outcomes_to_z(outcomes, p, out=zm), m, out=zm)
-        sums[:, i] = np.dot(law, zm), max(0.0, 1.0 - float(np.sum(law)))
-    return WindowSums(*sums)
+    return _WindowWalk().sums(values, p, m)
 
 
 def phase_mass(values: np.ndarray, p: int, eta: float) -> np.ndarray:
@@ -142,9 +191,7 @@ def phase_mass(values: np.ndarray, p: int, eta: float) -> np.ndarray:
     the law is evaluated only at the offsets |j| <= ceil(eta*T), capped at
     the `window_sums` window; past the window the mass is a lower bound.
     """
-    t = 1 << p
-    offsets, laws = _window_laws(values, p, min(math.ceil(eta * t), WINDOW))
-    return np.array([np.sum(law, where=np.abs(offsets - frac) < eta * t) for _, frac, law in laws])
+    return _WindowWalk().phase_mass(values, p, eta)
 
 
 def _instances(seed: int, count: int, budgets=_BUDGETS, fail_prob: float = _FAIL_PROB, max_dim: int = 16):
@@ -164,8 +211,9 @@ def _instances(seed: int, count: int, budgets=_BUDGETS, fail_prob: float = _FAIL
 def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
     """Worst per-atom (1 - mass within eta) against theta."""
     worst_ratio = 0.0  # (1 - mass) / theta, so mixed budgets share one row
+    walk = _WindowWalk()
     for params, _, _, measure in _instances(seed, n_matrices):
-        mass = phase_mass(measure.values, params.p, params.eta)
+        mass = walk.phase_mass(measure.values, params.p, params.eta)
         worst_ratio = max(worst_ratio, float(np.max(1.0 - mass)) / params.theta)
     return _check("phase mass outside eta vs theta (ratio)", 1.0, worst_ratio)
 
@@ -173,25 +221,27 @@ def phase_mass_check(n_matrices: int = 20, seed: int = 20260819) -> BoundCheck:
 def atom_moment_check(n_matrices: int = 20, seed: int = 20260820) -> BoundCheck:
     """Worst per-atom |E[Z^m] - lambda^m| against 2 theta + 2 pi m eta."""
     worst_ratio = 0.0
+    walk = _WindowWalk()
     for params, _, _, measure in _instances(seed, n_matrices):
         bound = 2.0 * params.theta + _TWO_PI * params.m * params.eta
-        sums = window_sums(measure.values, params.p, params.m)
+        sums = walk.sums(measure.values, params.p, params.m)
         powers = [signed_power(lam, params.m) for lam in measure.values]
         worst_ratio = max(worst_ratio, float(np.max(np.abs(sums.moment - powers) + sums.tail)) / bound)
     return _check("per-atom |E[Z^m] - lambda^m| vs 2 theta + 2 pi m eta (ratio)", 1.0, worst_ratio)
 
 
-def _mixture_moment(measure: SpectralMeasure, params: QpeParams) -> tuple[float, float]:
+def _mixture_moment(walk: _WindowWalk, measure: SpectralMeasure, params: QpeParams) -> tuple[float, float]:
     """(sum w S, sum w tail) over the atoms: E[Z^m] lies within the second of the first."""
-    sums = window_sums(measure.values, params.p, params.m)
+    sums = walk.sums(measure.values, params.p, params.m)
     return float(np.dot(measure.weights, sums.moment)), float(np.dot(measure.weights, sums.tail))
 
 
 def state_moment_check(n_matrices: int = 20, seed: int = 20260821) -> BoundCheck:
     """Worst |E[Z^m] - (A^m)_jj / b^m| against eps/3 over full mixtures."""
     worst_ratio = 0.0
+    walk = _WindowWalk()
     for params, matrix, j, measure in _instances(seed, n_matrices):
-        got, tail = _mixture_moment(measure, params)
+        got, tail = _mixture_moment(walk, measure, params)
         exact = power_diag_exact(matrix, j, params.m) / matrix.norm_bound**params.m
         worst_ratio = max(worst_ratio, (abs(got - exact) + tail) / (params.epsilon / 3.0))
     return _check("|E[Z^m] - (A^m)_jj / b^m| vs eps/3 (ratio)", 1.0, worst_ratio)
@@ -204,9 +254,10 @@ def sampling_check(trials: int = 50, seed: int = 20260822) -> BoundCheck:
     violates the bound with probability under trials * 1e-4.
     """
     worst_ratio = 0.0
+    walk = _WindowWalk()
     instances = _instances(seed, trials, budgets=[(2, 0.5)], fail_prob=1e-4, max_dim=12)
     for t, (params, matrix, j, measure) in enumerate(instances):
-        expected, tail = _mixture_moment(measure, params)
+        expected, tail = _mixture_moment(walk, measure, params)
         b, psi = matrix.norm_bound, np.eye(1, matrix.dim, j)[0]
         outcomes = sample_measurements(matrix, b, psi, params, analytic_backend(), seed=(seed, t))
         got = estimate_from_outcomes(outcomes, params, 1.0)

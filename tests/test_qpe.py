@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dee.qpe import (
     BLOCK_SHOTS,
@@ -24,6 +25,7 @@ from dee.qpe import (
     estimate_offdiag,
     grid_position,
     moment_of_distribution,
+    offset_basis,
     outcome_law,
     outcome_to_z,
     outcomes_to_z,
@@ -44,6 +46,7 @@ from dee.sparse import (
 from dee.spectral import eig_sym, induced_measure, make_measure, moment
 
 from conftest import random_sparse_matrix, total_variation
+from law_reference import direct_outcome_law
 
 
 class TestChooseParams:
@@ -228,6 +231,45 @@ class TestAnalyticDistribution:
         assert total_variation(probs, circuit) < 1e-12
 
 
+# |frac| below about 1e-136 would put the law at +-T/2, p = 62, among the
+# subnormals, where neither form keeps its relative precision
+_FRACS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+    st.floats(-0.5, 0.5).filter(lambda f: abs(f) >= 1e-130),
+)
+
+
+class TestOutcomeLaw:
+    """The angle-addition form against the direct form it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.integers(1, 62), frac=_FRACS, data=st.data())
+    def test_basis_form_matches_direct_form(self, p, frac, data):
+        half = (1 << p) // 2
+        drawn = data.draw(st.lists(st.integers(-half, half), max_size=30))
+        offsets = np.array([0, 1, -1, half, -half, half - 1, 1 - half] + drawn, dtype=np.float64)
+        offsets = offsets[np.abs(offsets) <= half]
+        got = outcome_law(frac, offset_basis(offsets, 1 << p))
+        want = direct_outcome_law(frac, offsets, 1 << p)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("p", range(1, 63))
+    def test_integer_phase_is_exactly_a_point_mass(self, p):
+        half = (1 << p) // 2
+        offsets = np.array([0] + sorted({1, -1, half, -half, half // 3 or 1, -(half // 3) or -1}))
+        law = outcome_law(0.0, offset_basis(offsets, 1 << p))
+        assert law[0] == 1.0 and np.all(law[1:] == 0.0)
+
+    def test_phases_broadcast_against_the_basis(self, rng):
+        p = 20
+        fracs = rng.uniform(-0.5, 0.5, 7)
+        basis = offset_basis(np.arange(-40, 41), 1 << p)
+        table = outcome_law(fracs[:, None], basis)
+        assert table.shape == (7, 81)
+        for row, frac in zip(table, fracs):
+            assert np.array_equal(row, outcome_law(frac, basis))
+
+
 class TestStatevector:
     def test_zero_matrix_point_mass_at_zero(self):
         probs = qpe_statevector(np.zeros((2, 2)), np.array([1.0, 0.0]), 5)
@@ -365,7 +407,7 @@ class TestBlockSampler:
                 law = _offset_law(window, x0 - centre, t)
                 assert np.all(law <= _envelope(window.astype(np.float64)) * (1.0 + 1e-12))
                 # the module's sine form against this file's sinc form
-                assert np.allclose(outcome_law(x0 - centre, window, t), law, rtol=0, atol=1e-12)
+                assert np.allclose(outcome_law(x0 - centre, offset_basis(window, t)), law, rtol=0, atol=1e-12)
                 if p <= 12:
                     # the windowed closed form is the full outcome law
                     exact = qpe_distribution_analytic(make_measure([(float(lam), 1.0)]), p)
@@ -533,7 +575,7 @@ class TestTableSampler:
         i = np.unique(i[(i > TABLE_HALF_WIDTH) & (i <= t // 2)]).astype(np.float64)
         num = math.sin(math.pi * frac) ** 2
         for j in (i, -i[i < t // 2]):
-            ratio = outcome_law(frac, j, t) / (num * _envelope(j))
+            ratio = outcome_law(frac, offset_basis(j, t)) / (num * _envelope(j))
             assert np.all(ratio <= 1.0 + 1e-12)
             i_ = np.abs(j)
             assert np.all(ratio >= 4.0 * i_ * (i_ - 1.0) / (math.pi * (i_ + 0.5)) ** 2 * (1.0 - 1e-12))

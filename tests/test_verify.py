@@ -1,5 +1,8 @@
 """The verification battery against full-vector recomputations."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -87,17 +90,59 @@ def test_window_wrapping_zero_past_float_resolution():
 
 
 def test_bound_checks_build_no_distribution_vector(monkeypatch):
-    """The battery passes with the 2^p distribution unavailable, and every
-    array the windowed checks build has at most 2 WINDOW + 1 entries."""
+    """The battery passes with the 2^p distribution unavailable, every
+    array the windowed checks build has at most 2 WINDOW + 1 entries, and
+    none of them outlives the battery."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a 2^p distribution")
 
-    sizes = []
-    law, decode = dee.verify.outcome_law, dee.verify.outcomes_to_z
+    sizes, built = [], []
+
+    def record(array):
+        sizes.append(array.size)
+        built.append(weakref.ref(array))
+        return array
+
+    def recorded_basis(j, t):
+        table = basis(j, t)
+        record(table.sin), record(table.cos)
+        return table
+
+    basis, law, decode = dee.verify.offset_basis, dee.verify.outcome_law, dee.verify.outcomes_to_z
     monkeypatch.setattr(dee.verify, "qpe_distribution_analytic", refuse)
-    monkeypatch.setattr(dee.verify, "outcome_law", lambda f, j, t, out: sizes.append(j.size) or law(f, j, t, out))
-    monkeypatch.setattr(dee.verify, "outcomes_to_z", lambda a, p, out: sizes.append(a.size) or decode(a, p, out))
+    monkeypatch.setattr(dee.verify, "offset_basis", recorded_basis)
+    monkeypatch.setattr(dee.verify, "outcome_law", lambda f, b, out: record(law(f, b, out)))
+    monkeypatch.setattr(dee.verify, "outcomes_to_z", lambda a, p, out: sizes.append(a.size) or record(decode(a, p, out)))
     checks = run_bound_checks(n_matrices=4, trials=2)
     assert all(c.passed for c in checks)
     assert max(sizes) == 2 * WINDOW + 1  # the p = 18 budgets
+    gc.collect()
+    assert not [ref for ref in built if ref() is not None]
+
+
+# atoms near 0 and +-1, a repeated atom (its window's outcome set is the
+# last one's), and random ones
+ATOMS = np.array([0.0, 1e-13, -1e-13, 1.0, -1.0, 0.37, 0.37, -0.81, 0.2, -0.55])
+
+
+@pytest.mark.parametrize("p", [8, 16, 17, 18, 54, 62])
+@pytest.mark.parametrize("m", [1, 2, 4, 2197])
+def test_atoms_sharing_tables_do_not_interact(p, m):
+    """A call over many atoms gives each the bits of a call over it alone."""
+    together = window_sums(ATOMS, p, m)
+    for i, lam in enumerate(ATOMS):
+        alone = window_sums(ATOMS[i : i + 1], p, m)
+        assert together.moment[i] == alone.moment[0] and together.tail[i] == alone.tail[0]
+    masses = phase_mass(ATOMS, p, 1e-3)
+    assert np.array_equal(masses, [phase_mass(ATOMS[i : i + 1], p, 1e-3)[0] for i in range(len(ATOMS))])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_battery_is_the_same_after_other_batteries(seed):
+    """No table outlives a battery: a battery's checks are the same whatever ran before it."""
+    first = run_bound_checks(n_matrices=4, trials=2, seed=seed)
+    run_bound_checks(n_matrices=3, trials=1, seed=seed + 100)
+    window_sums(ATOMS, 20, 3)
+    phase_mass(ATOMS, 54, 1e-9)
+    assert run_bound_checks(n_matrices=4, trials=2, seed=seed) == first
