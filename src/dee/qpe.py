@@ -212,8 +212,8 @@ def grid_position(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     phi*T = centre + frac, centre = round(phi*T) as int64 and |frac| <= 1/2.
 
     The one eigenvalue-to-grid map: `outcome_law` at frac and offset j is
-    then the chance of outcome (centre + j) mod T.  Eigenvalues outside [-1, 1] are
-    refused.
+    then the chance of outcome (centre + j) mod T.  Eigenvalues outside
+    [-1, 1] are refused.
     """
     lam = np.asarray(values, dtype=np.float64)
     for bad in lam[np.abs(lam) > 1.0 + 1e-9][:1]:

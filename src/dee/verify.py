@@ -127,21 +127,21 @@ class _WindowWalk:
         self._basis_key = self._z_key = self.basis = self.law = None
         self._zm = np.empty(0)
 
-    def _window(self, p: int, h: int) -> int:
-        """lo, after fitting `basis` and the `law` buffer to the offsets [lo, hi]."""
+    def _window(self, p: int, h: int) -> tuple[int, int]:
+        """(lo, hi), after fitting `basis` and the `law` buffer to the offsets [lo, hi]."""
         t = 1 << p
         lo, hi = max(-h, -(t // 2)), min(h, t // 2 - 1)
         if self._basis_key != (p, lo, hi):
             self.basis = self.law = None  # release the old tables before building the new
             self.basis = offset_basis(np.arange(lo, hi + 1, dtype=np.float64), t)
             self._basis_key, self.law = (p, lo, hi), np.empty(hi - lo + 1)
-        return lo
+        return lo, hi
 
     def _z_power(self, p: int, m: int, start: int, count: int) -> np.ndarray:
         """z^m of the outcomes (start + i) mod T, i < count."""
         if self._z_key != (p, m, start, count):
             if len(self._zm) != count:
-                self._zm = None
+                self._zm = None  # release the old table before building the new
                 self._zm = np.empty(count)
             outcomes = np.arange(start, start + count, dtype=np.int64)
             outcomes &= (1 << p) - 1
@@ -151,8 +151,8 @@ class _WindowWalk:
 
     def sums(self, values: np.ndarray, p: int, m: int) -> WindowSums:
         t = 1 << p
-        lo = self._window(p, WINDOW)
-        count = len(self.law)
+        lo, hi = self._window(p, WINDOW)
+        count = hi - lo + 1
         centres, fracs = grid_position(values, p)
         sums = np.empty((2, len(values)))
         for i, (centre, frac) in enumerate(zip(centres.tolist(), fracs.tolist())):
@@ -168,8 +168,7 @@ class _WindowWalk:
     def phase_mass(self, values: np.ndarray, p: int, eta: float) -> np.ndarray:
         t = 1 << p
         inside = eta * t
-        lo = self._window(p, min(math.ceil(inside), WINDOW))
-        hi = lo + len(self.law) - 1
+        lo, hi = self._window(p, min(math.ceil(inside), WINDOW))
         masses = []
         for frac in grid_position(values, p)[1].tolist():
             # the offsets j with |j - frac| < inside

@@ -113,7 +113,9 @@ def test_bound_checks_build_no_distribution_vector(monkeypatch):
     monkeypatch.setattr(dee.verify, "qpe_distribution_analytic", refuse)
     monkeypatch.setattr(dee.verify, "offset_basis", recorded_basis)
     monkeypatch.setattr(dee.verify, "outcome_law", lambda f, b, out: record(law(f, b, out)))
-    monkeypatch.setattr(dee.verify, "outcomes_to_z", lambda a, p, out: sizes.append(a.size) or record(decode(a, p, out)))
+    monkeypatch.setattr(
+        dee.verify, "outcomes_to_z", lambda a, p, out: sizes.append(a.size) or record(decode(a, p, out))
+    )
     checks = run_bound_checks(n_matrices=4, trials=2)
     assert all(c.passed for c in checks)
     assert max(sizes) == 2 * WINDOW + 1  # the p = 18 budgets
@@ -131,7 +133,7 @@ ATOMS = np.array([0.0, 1e-13, -1e-13, 1.0, -1.0, 0.37, 0.37, -0.81, 0.2, -0.55])
 def test_atoms_sharing_tables_do_not_interact(p, m):
     """A call over many atoms gives each the bits of a call over it alone."""
     together = window_sums(ATOMS, p, m)
-    for i, lam in enumerate(ATOMS):
+    for i in range(len(ATOMS)):
         alone = window_sums(ATOMS[i : i + 1], p, m)
         assert together.moment[i] == alone.moment[0] and together.tail[i] == alone.tail[0]
     masses = phase_mass(ATOMS, p, 1e-3)
